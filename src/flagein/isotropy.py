@@ -81,9 +81,6 @@ class TripleTensor:
     def _lookup(self) -> dict[tuple[int, int, int], Fraction]:
         return dict(self.entries)
 
-    def triples_containing(self, i: int) -> list[tuple[tuple[int, int, int], Fraction]]:
-        return [(key, v) for key, v in self.entries if i in key]
-
     def permuted(self, sigma: tuple[int, ...]) -> "TripleTensor":
         """Apply an index permutation; used to check Weyl invariance."""
         inverse = [0] * len(sigma)

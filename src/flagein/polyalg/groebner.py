@@ -8,6 +8,13 @@ then exact FGLM conversion.  Both routes produce the same object, the unique
 reduced basis, normalized to integer-primitive generators with positive
 leading coefficients, so identical inputs give bit-identical output.
 
+All arithmetic runs in one integer kernel (Monagan-Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): each monomial is packed into one int whose integer order is the term
+order, coefficients are ints, and reduction is fraction-free.  The public
+functions take and return MultiPoly; they convert once on entry and once on
+exit.
+
 A budget (pair count, coefficient bit size) turns runaway computations into a
 recoverable 'budget_exceeded' status instead of a hang.
 """
@@ -17,9 +24,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 from ..errors import DomainError
-from .poly import Exponent, MultiPoly, TermOrder, _divides, _mul_exp
+from .poly import Exponent, MultiPoly, TermOrder
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,7 @@ class GroebnerStats:
     basis_size: int = 0
     max_coeff_bits: int = 0
     conversion: str = "direct"
+    budget_limit: str | None = None  # "pairs" or "coeff_bits" once a budget trips
 
 
 @dataclass
@@ -54,244 +64,380 @@ class GroebnerBasis:
 
 
 class _BudgetExceeded(Exception):
-    pass
+    def __init__(self, limit: str):
+        super().__init__(limit)
+        self.limit = limit
+
+
+# smallest field width; a field holds a total degree (grevlex) or an exponent
+# (lex) up to 2**bits - 1, far above the degrees FGLM can reach under its cap
+_MIN_FIELD_BITS = 15
+
+
+class _Monomials:
+    """Packed monomials for one term order over a fixed variable list.
+
+    A monomial is one int.  Its low n fields hold the exponents e0..e(n-1),
+    e0 most significant; for lex that layout already sorts as the term order.
+    Grevlex puts n more fields above them: the degree, then e0+...+e(n-2),
+    ..., e0.  Every field is *bits* wide with a zero guard bit above it, so
+    both layouts are additive (multiplying monomials adds ints), an overflow
+    shows as a set guard bit, and divisibility of the exponent fields is one
+    subtraction and a mask.
+    """
+
+    def __init__(self, order: TermOrder, bits: int):
+        self.order = order
+        self.n = n = len(order.variables)
+        self.bits = bits
+        self.stride = stride = bits + 1
+        self.field_max = (1 << bits) - 1
+        fields = 2 * n if order.kind == "grevlex" else n
+        self.div_guard = sum(1 << (k * stride + bits) for k in range(n))
+        self.guard = sum(1 << (k * stride + bits) for k in range(fields))
+        self.values = sum(self.field_max << (k * stride) for k in range(fields))
+
+    def pack(self, exp: Exponent) -> int:
+        fields = list(exp)
+        if self.order.kind == "grevlex":
+            partial = []
+            total = 0
+            for e in exp:
+                total += e
+                partial.append(total)
+            fields = partial[::-1] + fields
+        m = 0
+        for f in fields:
+            if f > self.field_max:
+                raise self.overflow()
+            m = (m << self.stride) | f
+        return m
+
+    def unpack(self, m: int) -> Exponent:
+        out = []
+        for _ in range(self.n):
+            out.append(m & self.field_max)
+            m >>= self.stride
+        return tuple(reversed(out))
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.div_guard
+        return ((b | g) - a) & g == g
+
+    def fieldwise_max(self, a: int, b: int) -> int:
+        g = self.guard
+        ge = ((a | g) - b) & g  # guard bit set where a's field >= b's
+        mask = ge - (ge >> self.bits)
+        return (a & mask) | (b & (self.values ^ mask))
+
+    def lcm(self, a: int, b: int) -> int:
+        top = self.fieldwise_max(a, b)
+        if self.order.kind == "grevlex":
+            # the degree fields of a lcm are not the maxima of the degree fields
+            return self.pack(self.unpack(top))
+        return top
+
+    def mul(self, a: int, b: int) -> int:
+        m = a + b
+        if m & self.guard:
+            raise self.overflow()
+        return m
+
+    def overflow(self) -> DomainError:
+        return DomainError(f"exponent overflows the {self.bits}-bit monomial field")
+
+    def variable(self, i: int) -> int:
+        return self.pack(tuple(int(k == i) for k in range(self.n)))
+
+
+class _Poly(NamedTuple):
+    """A polynomial prepared as a reducer: leading monomial and coefficient,
+    the tail in descending order, and the fieldwise maximum of the tail's
+    monomials (one overflow test covers a whole multiple of the tail)."""
+
+    lead: int
+    lc: int
+    tail: list[tuple[int, int]]
+    top: int
+
+
+def _reducer(terms: dict[int, int], ring: _Monomials) -> _Poly:
+    ordered = sorted(terms.items(), reverse=True)
+    lead, lc = ordered[0]
+    top = 0
+    for m, _ in ordered[1:]:
+        top = ring.fieldwise_max(top, m)
+    return _Poly(lead, lc, ordered[1:], top)
+
+
+def _primitive(terms: dict[int, int]) -> dict[int, int]:
+    """Divide by the content, signed so the leading coefficient is positive."""
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return {m: c // g for m, c in terms.items()}
+
+
+def _terms(p: _Poly) -> dict[int, int]:
+    work = dict(p.tail)
+    work[p.lead] = p.lc
+    return work
+
+
+def _field_bits(polys: list[MultiPoly]) -> int:
+    """Field width for a computation on *polys*: room for four times their
+    largest total degree, and never below _MIN_FIELD_BITS."""
+    degree = max((sum(e) for p in polys for e in p.terms), default=0)
+    return max(_MIN_FIELD_BITS, (4 * degree).bit_length())
+
+
+def _to_kernel(poly: MultiPoly, ring: _Monomials) -> tuple[dict[int, int], int]:
+    """Integer terms and a positive denominator d with poly = terms / d."""
+    if poly.vars != ring.order.variables:
+        poly = poly.with_variables(ring.order.variables)
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    return {ring.pack(e): c.numerator * (den // c.denominator) for e, c in poly.terms.items()}, den
+
+
+def _from_kernel(terms, ring: _Monomials, scale: int = 1) -> MultiPoly:
+    return MultiPoly(
+        ring.order.variables, {ring.unpack(m): Fraction(c, scale) for m, c in terms}
+    )
+
+
+def _poly_from(poly: MultiPoly, ring: _Monomials) -> _Poly:
+    return _reducer(_primitive(_to_kernel(poly, ring)[0]), ring)
+
+
+def _poly_to(p: _Poly, ring: _Monomials) -> MultiPoly:
+    return _from_kernel([(p.lead, p.lc), *p.tail], ring)
+
+
+def _repack(p: _Poly, source: _Monomials, target: _Monomials) -> _Poly:
+    """The same polynomial under *target*'s order, primitive there."""
+    return _reducer(_primitive({target.pack(source.unpack(m)): c for m, c in _terms(p).items()}), target)
+
+
+def _s_poly(f: _Poly, g: _Poly, ring: _Monomials) -> dict[int, int]:
+    """lc(g) x^mf f - lc(f) x^mg g, whose leading terms cancel."""
+    tau = ring.lcm(f.lead, g.lead)
+    mf = tau - f.lead
+    mg = tau - g.lead
+    ring.mul(f.top, mf)  # raises if a shifted tail term overflows
+    ring.mul(g.top, mg)
+    out = {t + mf: c * g.lc for t, c in f.tail}
+    for t, c in g.tail:
+        key = t + mg
+        s = out.get(key, 0) - c * f.lc
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+# scale bits gained between two content removals in _reduce
+_CONTENT_STEP_BITS = 64
+
+
+def _reduce(
+    work: dict[int, int],
+    scale: int,
+    reducers: list[_Poly],
+    ring: _Monomials,
+    max_bits: int | None = None,
+) -> tuple[dict[int, int], int]:
+    """Full normal form of work / scale against *reducers*, fraction-free.
+
+    Each step picks the largest remaining monomial and the first reducer
+    whose leading monomial divides it, then sets W <- (l/g) W - (a/g) x^s tail
+    with g = gcd(a, l), so W / scale stays the exact rational remainder.
+    Returns (remainder, scale) with the remainder equal to remainder / scale.
+
+    With *max_bits* set, a reduction factor a / (scale l) whose reduced
+    numerator or denominator is longer than that aborts the reduction via
+    _BudgetExceeded; a single reduction can otherwise run far past any
+    pair-level budget check.
+    """
+    div_guard = ring.div_guard
+    overflow = ring.guard
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    remainder: dict[int, int] = {}
+    content_at = scale.bit_length() + _CONTENT_STEP_BITS
+    leads = [r.lead for r in reducers]  # scanned without unpacking each reducer
+    while heap:
+        m = -heapq.heappop(heap)
+        a = work.pop(m, 0)
+        if not a:
+            continue
+        mg = m | div_guard
+        for lead in leads:
+            if (mg - lead) & div_guard == div_guard:
+                break
+        else:
+            remainder[m] = a
+            continue
+        _, l, tail, top = reducers[leads.index(lead)]
+        shift = m - lead
+        if (top + shift) & overflow:
+            raise ring.overflow()
+        g = gcd(a, l)
+        a //= g
+        lg = l // g
+        if max_bits is not None and (
+            a.bit_length() > max_bits or (scale * lg).bit_length() > max_bits
+        ):
+            h = gcd(a, scale)  # a / (scale lg) in lowest terms
+            if (a // h).bit_length() > max_bits or (scale * lg // h).bit_length() > max_bits:
+                raise _BudgetExceeded("coeff_bits")
+        if lg != 1:
+            scale *= lg
+            work = {k: v * lg for k, v in work.items()}
+            if remainder:
+                remainder = {k: v * lg for k, v in remainder.items()}
+        for t, c in tail:
+            target = t + shift
+            old = work.get(target)
+            if old is None:
+                work[target] = -a * c
+                heapq.heappush(heap, -target)
+            else:
+                s = old - a * c
+                if s:
+                    work[target] = s
+                else:
+                    del work[target]
+        if scale.bit_length() > content_at:
+            h = gcd(scale, *work.values(), *remainder.values())
+            if h > 1:
+                scale //= h
+                work = {k: v // h for k, v in work.items()}
+                remainder = {k: v // h for k, v in remainder.items()}
+            content_at = scale.bit_length() + _CONTENT_STEP_BITS
+    return remainder, scale
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
     """S(f, g) scaled to integer-friendly cross coefficients."""
-    ef, cf = order.leading(f)
-    eg, cg = order.leading(g)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = tuple(l - a for l, a in zip(lcm, ef))
-    mg = tuple(l - b for l, b in zip(lcm, eg))
-    out = {_mul_exp(e, mf): c * cg for e, c in f.terms.items()}
-    for e, c in g.terms.items():
-        key = _mul_exp(e, mg)
-        s = out.get(key, Fraction(0)) - c * cf
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(f.vars, out)
-
-
-class _NegKey:
-    """Inverts comparisons so heapq acts as a max-heap under the term order."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
-def _prepare(poly: MultiPoly, order: TermOrder):
-    lead_exp, lead_coeff = order.leading(poly)
-    tail = [(e, c) for e, c in poly.terms.items() if e != lead_exp]
-    return lead_exp, lead_coeff, tail
-
-
-def _reduce_terms(
-    work: dict[Exponent, Fraction],
-    reducers: list[tuple[Exponent, Fraction, list[tuple[Exponent, Fraction]]]],
-    order: TermOrder,
-    max_bits: int | None = None,
-) -> dict[Exponent, Fraction]:
-    """Full normal form of a term dict against prepared reducers.
-
-    With *max_bits* set, coefficient growth beyond that bit size aborts the
-    reduction via _BudgetExceeded; a single reduction can otherwise run far
-    past any pair-level budget check.
-    """
-    key = order.key
-    heap: list = []
-    queued: set[Exponent] = set()
-    remainder: dict[Exponent, Fraction] = {}
-
-    def push(exp: Exponent):
-        if exp not in queued:
-            queued.add(exp)
-            heapq.heappush(heap, (_NegKey(key(exp)), exp))
-
-    for exp in work:
-        push(exp)
-    while heap:
-        _, exp = heapq.heappop(heap)
-        queued.discard(exp)
-        coeff = work.get(exp)
-        if not coeff:
-            continue
-        for lead_exp, lead_coeff, tail in reducers:
-            if _divides(lead_exp, exp):
-                shift = tuple(a - b for a, b in zip(exp, lead_exp))
-                factor = coeff / lead_coeff
-                if max_bits is not None and (
-                    factor.numerator.bit_length() > max_bits
-                    or factor.denominator.bit_length() > max_bits
-                ):
-                    raise _BudgetExceeded()
-                del work[exp]
-                for t_exp, t_coeff in tail:
-                    target = _mul_exp(t_exp, shift)
-                    s = work.get(target, Fraction(0)) - factor * t_coeff
-                    if s:
-                        work[target] = s
-                        push(target)
-                    else:
-                        work.pop(target, None)
-                break
-        else:
-            remainder[exp] = coeff
-            del work[exp]
-    return remainder
+    if f.is_zero() or g.is_zero():
+        raise DomainError("zero polynomial has no leading term")
+    ring = _Monomials(order, _field_bits([f, g]))
+    (ft, fd), (gt, gd) = _to_kernel(f, ring), _to_kernel(g, ring)
+    out = _s_poly(_reducer(ft, ring), _reducer(gt, ring), ring)
+    return _from_kernel(out.items(), ring, fd * gd)
 
 
 def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> MultiPoly:
     """Full multivariate division remainder of *poly* by *basis* under *order*."""
-    reducers = [_prepare(g, order) for g in basis if not g.is_zero()]
-    remainder = _reduce_terms(dict(poly.terms), reducers, order)
-    return MultiPoly(poly.vars, remainder)
+    ring = _Monomials(order, _field_bits([poly, *basis]))
+    reducers = [_poly_from(g, ring) for g in basis if not g.is_zero()]
+    work, den = _to_kernel(poly, ring)
+    remainder, scale = _reduce(work, den, reducers, ring)
+    return _from_kernel(remainder.items(), ring, scale)
 
 
-def _interreduce(polys: list[MultiPoly], order: TermOrder) -> list[MultiPoly]:
+def _interreduce(polys: list[_Poly], ring: _Monomials) -> list[_Poly]:
     """Reduce each generator against the others until stable; drop zeros."""
-    current = [p.primitive(order) for p in polys if not p.is_zero()]
+    current = list(polys)
     changed = True
     while changed:
         changed = False
-        current.sort(key=lambda p: order.key(order.leading(p)[0]))
-        result: list[MultiPoly] = []
+        current.sort(key=lambda p: p.lead)
+        result: list[_Poly] = []
         for i, p in enumerate(current):
             others = result + current[i + 1:]
-            r = reduce_poly(p, others, order) if others else p
-            if r.is_zero():
-                changed = True
-                continue
-            r = r.primitive(order)
-            if r != p:
-                changed = True
-            result.append(r)
+            if others:
+                remainder, _ = _reduce(_terms(p), 1, others, ring)
+                if not remainder:
+                    changed = True
+                    continue
+                r = _reducer(_primitive(remainder), ring)
+                if r != p:
+                    changed = True
+                p = r
+            result.append(p)
         current = result
-    return sorted(current, key=lambda p: order.key(order.leading(p)[0]))
-
-
-def _max_bits(poly: MultiPoly) -> int:
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in poly.terms.values()),
-        default=0,
-    )
-
-
-def _lcm_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return current
 
 
 def _buchberger_loop(
-    generators: list[MultiPoly],
-    order: TermOrder,
+    polys: list[_Poly],
+    ring: _Monomials,
     budget: GroebnerBudget,
     stats: GroebnerStats,
-) -> list[MultiPoly]:
-    """Core pair loop; raises _BudgetExceeded carrying no state (caller keeps basis)."""
-    variables = order.variables
-    basis = _interreduce(
-        [g.with_variables(variables) for g in generators if not g.with_variables(variables).is_zero()],
-        order,
-    )
+) -> list[_Poly]:
+    """Core pair loop over primitive polynomials; raises _BudgetExceeded."""
+    basis = _interreduce(polys, ring)
     if not basis:
         return []
-    leads = [order.leading(g)[0] for g in basis]
-    reducers = [_prepare(g, order) for g in basis]
+    leads = [p.lead for p in basis]
 
     age = 0
     queue: list = []
-    alive: set[tuple[int, int]] = set()
-
-    def push_pair(i: int, j: int):
-        nonlocal age
-        age += 1
-        heapq.heappush(queue, (order.key(_lcm_exp(leads[i], leads[j])), age, i, j))
-        alive.add((i, j))
+    alive: dict[tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
 
     def update_pairs(r: int):
         """Gebauer-Moeller update for new generator index r."""
+        nonlocal age
         new_lead = leads[r]
+        taus = [ring.lcm(leads[i], new_lead) for i in range(r)]
         # drop old pairs strictly covered by the new generator
-        for (i, j) in list(alive):
-            if j == r:
-                continue
-            lcm_ij = _lcm_exp(leads[i], leads[j])
-            if (
-                _divides(new_lead, lcm_ij)
-                and _lcm_exp(leads[i], new_lead) != lcm_ij
-                and _lcm_exp(leads[j], new_lead) != lcm_ij
-            ):
-                alive.discard((i, j))
+        for (i, j), tau_ij in list(alive.items()):
+            if ring.divides(new_lead, tau_ij) and taus[i] != tau_ij and taus[j] != tau_ij:
+                del alive[(i, j)]
                 stats.pairs_discarded += 1
         # candidate pairs with the new generator
-        taus = {i: _lcm_exp(leads[i], new_lead) for i in range(r)}
-        keep: list[int] = []
-        for i in range(r):
-            dominated = False
-            for j in range(r):
-                if j == i:
-                    continue
-                if _divides(taus[j], taus[i]) and taus[j] != taus[i]:
-                    dominated = True
-                    break
-            if not dominated:
-                keep.append(i)
-        by_tau: dict[Exponent, int] = {}
-        for i in keep:
-            by_tau.setdefault(taus[i], i)
-        for tau, i in sorted(by_tau.items(), key=lambda kv: (order.key(kv[0]), kv[1])):
+        guard = ring.div_guard
+        by_tau: dict[int, int] = {}
+        for i, tau in enumerate(taus):
+            above = tau | guard
+            if not any(t != tau and (above - t) & guard == guard for t in taus):
+                by_tau.setdefault(tau, i)
+        for tau, i in sorted(by_tau.items()):
             # coprime leading terms reduce to zero; skip
-            if tau == _mul_exp(leads[i], new_lead):
+            if tau == leads[i] + new_lead:
                 stats.pairs_discarded += 1
                 continue
-            push_pair(i, r)
+            age += 1
+            heapq.heappush(queue, (tau, age, i, r))
+            alive[(i, r)] = tau
 
     for j in range(len(basis)):
         update_pairs(j)
 
     while queue:
-        if stats.pairs_processed >= budget.max_pairs or stats.max_coeff_bits > budget.max_coeff_bits:
-            raise _BudgetExceeded()
+        if stats.pairs_processed >= budget.max_pairs:
+            raise _BudgetExceeded("pairs")
+        if stats.max_coeff_bits > budget.max_coeff_bits:
+            raise _BudgetExceeded("coeff_bits")
         _, _, i, j = heapq.heappop(queue)
-        if (i, j) not in alive:
+        if alive.pop((i, j), None) is None:
             continue
-        alive.discard((i, j))
         stats.pairs_processed += 1
-        s_poly = s_polynomial(basis[i], basis[j], order)
-        remainder = _reduce_terms(dict(s_poly.terms), reducers, order, budget.max_coeff_bits)
+        s_poly = _s_poly(basis[i], basis[j], ring)
+        remainder, _ = _reduce(s_poly, 1, basis, ring, budget.max_coeff_bits)
         if not remainder:
             continue
-        new_poly = MultiPoly(variables, remainder).primitive(order)
-        bits = _max_bits(new_poly)
+        terms = _primitive(remainder)
+        new_poly = _reducer(terms, ring)
+        bits = max(c.bit_length() for c in terms.values())
         if bits > stats.max_coeff_bits:
             stats.max_coeff_bits = bits
         basis.append(new_poly)
-        leads.append(order.leading(new_poly)[0])
-        reducers.append(_prepare(new_poly, order))
+        leads.append(new_poly.lead)
         update_pairs(len(basis) - 1)
 
-    return _interreduce(basis, order)
+    return _interreduce(basis, ring)
 
 
-def _is_zero_dimensional(basis: list[MultiPoly], order: TermOrder) -> bool:
+def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:
     """Every variable must have a pure power among the leading terms."""
     if not basis:
         return False
-    width = len(order.variables)
-    covered = [False] * width
-    for g in basis:
-        lead, _ = order.leading(g)
-        nonzero = [i for i, e in enumerate(lead) if e]
+    covered = [False] * ring.n
+    for p in basis:
+        nonzero = [i for i, e in enumerate(ring.unpack(p.lead)) if e]
         if len(nonzero) == 1:
             covered[nonzero[0]] = True
         elif len(nonzero) == 0:
@@ -299,74 +445,67 @@ def _is_zero_dimensional(basis: list[MultiPoly], order: TermOrder) -> bool:
     return all(covered)
 
 
-def _standard_monomials(basis: list[MultiPoly], order: TermOrder, cap: int) -> list[Exponent] | None:
+def _standard_monomials(basis: list[_Poly], ring: _Monomials, cap: int) -> list[int] | None:
     """Monomials under the staircase; None if more than *cap* of them."""
-    leads = [order.leading(g)[0] for g in basis]
-    width = len(order.variables)
-    start = (0,) * width
-    seen = {start}
-    out: list[Exponent] = []
-    stack = [start]
+    leads = [p.lead for p in basis]
+    steps = [ring.variable(i) for i in range(ring.n)]
+    seen = {0}
+    out: list[int] = []
+    stack = [0]
     while stack:
-        exp = stack.pop()
-        if any(_divides(l, exp) for l in leads):
+        m = stack.pop()
+        if any(ring.divides(l, m) for l in leads):
             continue
-        out.append(exp)
+        out.append(m)
         if len(out) > cap:
             return None
-        for i in range(width):
-            up = list(exp)
-            up[i] += 1
-            t = tuple(up)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
+        for step in steps:
+            up = ring.mul(m, step)
+            if up not in seen:
+                seen.add(up)
+                stack.append(up)
     return out
 
 
 def _fglm(
-    basis: list[MultiPoly],
-    from_order: TermOrder,
-    to_order: TermOrder,
+    basis: list[_Poly],
+    ring: _Monomials,
+    target: _Monomials,
     stats: GroebnerStats,
-) -> list[MultiPoly] | None:
-    """Convert a zero-dimensional reduced basis to *to_order* by linear algebra."""
-    variables = from_order.variables
-    width = len(variables)
-    standard = _standard_monomials(basis, from_order, cap=20_000)
+) -> list[_Poly] | None:
+    """Convert a zero-dimensional reduced basis to *target*'s order by linear algebra.
+
+    Rows are kept fraction-free: each row R carries an integer combination C
+    of already visited monomials with NF(C) = R, and eliminating against a
+    row scales by the reduced ratio of the two pivot entries.
+    """
+    standard = _standard_monomials(basis, ring, cap=20_000)
     if standard is None:
         return None
-    column = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
-    reducers = [_prepare(g, from_order) for g in basis]
+    width = ring.n
 
-    def normal_form_vector(exp: Exponent) -> list[Fraction]:
-        rem = _reduce_terms({exp: Fraction(1)}, reducers, from_order)
-        vec = [Fraction(0)] * dim
-        for e, c in rem.items():
-            vec[column[e]] = c
-        return vec
+    # pivot -> (row, combination keyed by target-packed monomials)
+    pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
+    chosen = 0
+    new_leads: list[int] = []
+    out: list[_Poly] = []
 
-    # echelon rows: pivot -> (row_vector, combination over chosen monomials)
-    pivots: dict[int, tuple[list[Fraction], dict[Exponent, Fraction]]] = {}
-    chosen: list[Exponent] = []
-    new_leads: list[Exponent] = []
-    out: list[MultiPoly] = []
-
-    def eliminated(vec: list[Fraction], combo: dict[Exponent, Fraction]):
+    def eliminated(vec: list[int], combo: dict[int, int]):
         for p, (row, row_combo) in sorted(pivots.items()):
             if vec[p]:
-                f = vec[p] / row[p]
-                for k in range(dim):
-                    if row[k]:
-                        vec[k] -= f * row[k]
+                g = gcd(vec[p], row[p])
+                keep, take = row[p] // g, vec[p] // g
+                vec = [keep * v - take * w for v, w in zip(vec, row)]
+                combo = {m: keep * c for m, c in combo.items()}
                 for m, c in row_combo.items():
-                    s = combo.get(m, Fraction(0)) - f * c
+                    s = combo.get(m, 0) - take * c
                     if s:
                         combo[m] = s
                     else:
                         combo.pop(m, None)
-        return vec, combo
+        h = gcd(*vec, *combo.values())
+        return [v // h for v in vec], {m: c // h for m, c in combo.items()}
 
     heap: list = []
     queued = set()
@@ -374,37 +513,32 @@ def _fglm(
     def push(exp: Exponent):
         if exp not in queued:
             queued.add(exp)
-            heapq.heappush(heap, (to_order.key(exp), exp))
+            heapq.heappush(heap, (target.pack(exp), exp))
 
     push((0,) * width)
     while heap:
-        _, exp = heapq.heappop(heap)
-        if any(_divides(l, exp) for l in new_leads):
+        key, exp = heapq.heappop(heap)
+        if any(target.divides(l, key) for l in new_leads):
             continue
-        vec = normal_form_vector(exp)
-        combo: dict[Exponent, Fraction] = {}
-        vec, combo = eliminated(vec, combo)
+        remainder, scale = _reduce({ring.pack(exp): 1}, 1, basis, ring)
+        vec = [remainder.get(m, 0) for m in standard]
+        vec, combo = eliminated(vec, {key: scale})
         pivot = next((k for k in range(dim) if vec[k]), None)
         if pivot is None:
-            # exp is a new leading term: exp - sum combo over chosen monomials
-            terms = {exp: Fraction(1)}
-            for m, c in combo.items():
-                terms[m] = terms.get(m, Fraction(0)) + c
-            poly = MultiPoly(variables, terms)
-            out.append(poly)
-            new_leads.append(exp)
+            # NF(combo) = 0: a new generator with leading monomial exp
+            out.append(_reducer(_primitive(combo), target))
+            new_leads.append(key)
         else:
-            combo[exp] = combo.get(exp, Fraction(0)) + 1
             pivots[pivot] = (vec, combo)
-            chosen.append(exp)
-            if len(chosen) > dim:
+            chosen += 1
+            if chosen > dim:
                 raise DomainError("FGLM dimension overflow; ideal not zero-dimensional")
             for i in range(width):
                 up = list(exp)
                 up[i] += 1
                 push(tuple(up))
     stats.conversion = "grevlex+fglm"
-    return _interreduce(out, to_order)
+    return _interreduce(out, target)
 
 
 def buchberger(
@@ -416,39 +550,36 @@ def buchberger(
 
     For a lex target the computation first builds a grevlex basis; when that
     shows the ideal is zero-dimensional the lex basis is obtained by FGLM
-    conversion, otherwise the pair loop runs directly under lex.  Either way
-    the result is the unique reduced lex basis.
+    conversion, otherwise the pair loop runs under lex, seeded with the
+    grevlex basis.  Either way the result is the unique reduced lex basis.
+
+    The budget bounds the whole call: both passes count against the same
+    pairs and coefficient bits, and a pass that runs out returns
+    'budget_exceeded' at once, with its stats and the limit that tripped.
     """
     if not generators:
         raise DomainError("empty generator list")
     budget = budget or GroebnerBudget()
     stats = GroebnerStats()
-    variables = order.variables
+    bits = _field_bits(generators)
+    ring = _Monomials(order, bits)
+    nonzero = [g for g in generators if not g.is_zero()]
     try:
-        if order.kind == "lex" and len(variables) > 1:
-            grevlex = TermOrder("grevlex", variables)
-            pre_stats = GroebnerStats()
-            try:
-                warm = _buchberger_loop(generators, grevlex, budget, pre_stats)
-            except _BudgetExceeded:
-                warm = None
-            if warm is not None:
-                stats.pairs_processed = pre_stats.pairs_processed
-                stats.pairs_discarded = pre_stats.pairs_discarded
-                stats.max_coeff_bits = pre_stats.max_coeff_bits
-                if _is_zero_dimensional(warm, grevlex):
-                    converted = _fglm(warm, grevlex, order, stats)
-                    if converted is not None:
-                        final = [p.primitive(order) for p in converted]
-                        stats.basis_size = len(final)
-                        return GroebnerBasis(final, order, "complete", stats)
-                # fall through: direct lex run seeded with the grevlex basis
-                generators = warm
-        final = _buchberger_loop(generators, order, budget, stats)
-    except _BudgetExceeded:
+        if order.kind == "lex" and ring.n > 1:
+            grevlex = _Monomials(TermOrder("grevlex", order.variables), bits)
+            warm = _buchberger_loop([_poly_from(g, grevlex) for g in nonzero], grevlex, budget, stats)
+            final = _fglm(warm, grevlex, ring, stats) if _is_zero_dimensional(warm, grevlex) else None
+            if final is None:
+                # a lex run seeded with the grevlex basis
+                seeds = [_repack(p, grevlex, ring) for p in warm]
+                final = _buchberger_loop(seeds, ring, budget, stats)
+        else:
+            final = _buchberger_loop([_poly_from(g, ring) for g in nonzero], ring, budget, stats)
+    except _BudgetExceeded as exc:
+        stats.budget_limit = exc.limit
         return GroebnerBasis([], order, "budget_exceeded", stats)
     stats.basis_size = len(final)
-    return GroebnerBasis(final, order, "complete", stats)
+    return GroebnerBasis([_poly_to(p, ring) for p in final], order, "complete", stats)
 
 
 def _fresh_variable(used: tuple[str, ...]) -> str:

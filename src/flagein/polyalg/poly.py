@@ -102,9 +102,6 @@ class MultiPoly:
             raise DomainError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)

@@ -146,9 +146,6 @@ class IsolatingInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def as_float(self) -> float:
-        return float(self.midpoint())
-
 
 def _as_coeffs(p: MultiPoly | Coeffs, var: str | None) -> Coeffs:
     if isinstance(p, MultiPoly):
@@ -209,33 +206,32 @@ def sturm_isolate(
             d /= 2
         return d
 
-    def split(a: Fraction, b: Fraction):
-        """Isolate all roots in (a, b); requires sf(a) != 0 and sf(b) != 0."""
-        count = root_count(chain, a, b)
-        if count == 0:
-            return
-        if count == 1:
-            out.append(IsolatingInterval(a, b, frozen))
-            return
-        mid = (a + b) / 2
-        if _eval(sf, mid) == 0:
-            emit_exact_if_inside(mid)
-            d = gap_around(mid, (b - a) / 4)
-            split(a, mid - d)
-            split(mid + d, b)
-        else:
-            split(a, mid)
-            split(mid, b)
-
-    # move endpoints off roots before the recursion starts
+    # move endpoints off roots before bisection starts
     if _eval(sf, lo) == 0:
         emit_exact_if_inside(lo)
         lo = lo + gap_around(lo, (hi - lo) / 4)
     if _eval(sf, hi) == 0:
         emit_exact_if_inside(hi)
         hi = hi - gap_around(hi, (hi - lo) / 4)
-    if lo < hi:
-        split(lo, hi)
+    # bisect with an explicit stack: close roots need one level per bit of
+    # their separation, far deeper than the interpreter's recursion limit
+    # allows.  Every pending (a, b) has sf(a) != 0 and sf(b) != 0.
+    pending = [(lo, hi)] if lo < hi else []
+    while pending:
+        a, b = pending.pop()
+        count = root_count(chain, a, b)
+        if count == 0:
+            continue
+        if count == 1:
+            out.append(IsolatingInterval(a, b, frozen))
+            continue
+        mid = (a + b) / 2
+        if _eval(sf, mid) == 0:
+            emit_exact_if_inside(mid)
+            d = gap_around(mid, (b - a) / 4)
+            pending += [(a, mid - d), (mid + d, b)]
+        else:
+            pending += [(a, mid), (mid, b)]
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

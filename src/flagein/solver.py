@@ -465,8 +465,11 @@ def solve_general_case(
     )
     result.cases.append(record)
     if not elimination.complete:
+        stats = elimination.stats
         record.notes = (
-            "exact elimination exceeded the budget; the numeric oracle covers this region"
+            f"exact elimination exceeded its {stats.budget_limit} budget after "
+            f"{stats.pairs_processed} pairs ({stats.pairs_discarded} discarded, "
+            f"{stats.max_coeff_bits} coefficient bits); the numeric oracle covers this region"
         )
         result.status = "budget_exceeded"
         return result

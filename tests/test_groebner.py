@@ -135,6 +135,62 @@ def test_budget_exceeded_status():
     assert not result.complete
 
 
+def test_budget_names_the_limit():
+    gens = [
+        parse_polynomial("x^3*y^2 - x + 1", VARS),
+        parse_polynomial("x^2*y^3 + y - 2", VARS),
+    ]
+    assert buchberger(gens, LEX).stats.budget_limit is None
+    assert buchberger(gens, LEX, GroebnerBudget(max_pairs=1)).stats.budget_limit == "pairs"
+    tight = buchberger(gens, LEX, GroebnerBudget(max_coeff_bits=1))
+    assert tight.status == "budget_exceeded"
+    assert tight.stats.budget_limit == "coeff_bits"
+
+
+@pytest.mark.parametrize("op", ["reduce", "buchberger"])
+def test_exponent_overflow_raises(op):
+    # x^256 modulo x - y^256 is y^65536, past the packed field width that
+    # inputs of degree 256 get
+    x_power = parse_polynomial("x^256", VARS)
+    relation = parse_polynomial("x - y^256", VARS)
+    with pytest.raises(DomainError):
+        if op == "reduce":
+            reduce_poly(x_power, [relation], LEX)
+        else:
+            buchberger([x_power - parse_polynomial("1", VARS), relation], LEX)
+
+
+def _monic(terms):
+    lead = terms[max(terms)]
+    return {e: c / lead for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("order_kind", ["lex", "grevlex"])
+def test_bases_match_sympy(order_kind):
+    """Reduced bases agree with an independent implementation."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    order = TermOrder(order_kind, VARS)
+    rng = random.Random(99 + (order_kind == "lex"))
+    for _ in range(60):
+        gens = _random_ideal(rng)
+        basis = buchberger(gens, order, GroebnerBudget(max_pairs=3000))
+        if not basis.complete:
+            continue
+        ours = sorted(
+            sorted(_monic({order.key(e): c for e, c in g.terms.items()}).items())
+            for g in basis.generators
+        )
+        exprs = [sum(c * x**e[0] * y**e[1] for e, c in g.terms.items()) for g in gens]
+        theirs = sorted(
+            sorted(
+                _monic({order.key(e): F(int(c.p), int(c.q)) for e, c in p.terms()}).items()
+            )
+            for p in sympy.groebner(exprs, x, y, order=order_kind).polys
+        )
+        assert ours == theirs
+
+
 def test_saturation_textbook():
     sat = saturate([parse_polynomial("x*y", VARS)], [parse_polynomial("x", VARS)])
     assert [format_polynomial(g) for g in sat.generators] == ["y"]
@@ -170,6 +226,29 @@ def ansatz_elimination(ansatz_generators):
     constraints = [MultiPoly.variable(v, names) for v in names]
     constraints.append(parse_polynomial("x6 - 1", names))
     return saturate(ansatz_generators, constraints)
+
+
+def _stats_tuple(basis):
+    s = basis.stats
+    return (s.pairs_processed, s.pairs_discarded, s.basis_size, s.max_coeff_bits)
+
+
+def test_ansatz_elimination_stats(ansatz_elimination):
+    assert _stats_tuple(ansatz_elimination) == (121, 33, 4, 775)
+    assert ansatz_elimination.stats.conversion == "grevlex+fglm"
+
+
+def test_general_system_budget_stats():
+    """One budget bounds the whole call: the grevlex pass stops it."""
+    names = ("x2", "x3", "x4", "x5", "x6")
+    gens = parse_polynomial_file(open("tests/data/g2_general_system.txt").read(), names)
+    constraints = [MultiPoly.variable(v, names) for v in names] + [
+        parse_polynomial(text, names) for text in ("1 - x5", "1 - x6", "x5 - x6")
+    ]
+    result = saturate(gens, constraints, GroebnerBudget(max_pairs=60, max_coeff_bits=2500))
+    assert result.status == "budget_exceeded"
+    assert _stats_tuple(result) == (60, 7, 0, 117)
+    assert result.stats.budget_limit == "pairs"
 
 
 def test_ansatz_elimination_degree_14(ansatz_elimination):

@@ -115,6 +115,16 @@ def test_constructed_rational_roots_recovered():
             assert tight.lo <= r <= tight.hi
 
 
+def test_roots_closer_than_the_recursion_limit():
+    # separating the roots takes about 1200 bisection levels
+    roots = [F(1, 3), F(1, 3) + F(1, 2**1200)]
+    intervals = sturm_isolate(_poly_from_roots(roots))
+    assert len(intervals) == 2
+    assert intervals[0].hi <= intervals[1].lo
+    for iv, r in zip(intervals, roots):
+        assert iv.lo <= r <= iv.hi
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
 def test_random_polynomials_certified(coeffs):

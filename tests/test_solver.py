@@ -166,6 +166,9 @@ def test_x6_equal_one_branch_quadratic(g2):
         substituted, [MultiPoly.variable(v, ("x3", "x2")) for v in ("x3", "x2")]
     )
     assert basis.complete
+    stats = basis.stats
+    assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size) == (16, 5, 3)
+    assert stats.max_coeff_bits == 13
     forms = {format_polynomial(_canonical(g)) for g in basis.generators}
     assert "15*x2^2 - 20*x2 + 9" in forms
     assert "x3 - x2" in forms
@@ -173,12 +176,29 @@ def test_x6_equal_one_branch_quadratic(g2):
     assert sturm_isolate(quadratic) == []
 
 
+def test_x4_x3_consistency_saturation_stats(g2):
+    """The slice saturation behind the x4 = x3 check; pins the kernel's path."""
+    from flagein.polyalg.groebner import saturate
+
+    wide = build_system(g2, normalization={"x1": 1, "x5": 1})
+    names = wide.variables
+    constraints = [MultiPoly.variable(v, names) for v in names]
+    constraints.append(MultiPoly.variable("x6", names) - MultiPoly.constant(1, names))
+    basis = saturate(list(wide.polynomials), constraints)
+    assert basis.complete
+    stats = basis.stats
+    assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size) == (263, 142, 5)
+    assert stats.max_coeff_bits == 1378
+
+
 def test_general_case_budget_status(g2):
     result = solve_general_case(g2, GroebnerBudget(max_pairs=60, max_coeff_bits=2500))
     assert result.status == "budget_exceeded"
     assert result.solutions == []
     assert result.cases[0].status == "budget_exceeded"
-    assert "oracle" in result.cases[0].notes
+    notes = result.cases[0].notes
+    assert "oracle" in notes
+    assert "pairs budget after 60 pairs" in notes
 
 
 def test_oracle_a1():
