@@ -82,16 +82,19 @@ class EinsteinSolution:
 
 
 def _ricci_values(x, triples: TripleTensor):
-    """Shared evaluation core; x entries may be Fraction, float, or LaurentPoly."""
-    s = len(x)
-    r = [Fraction(1, 2) / x[i] for i in range(s)]
-    eighth = Fraction(1, 8)
-    quarter = Fraction(1, 4)
+    """Shared evaluation core; x entries may be Fraction, float, or LaurentPoly.
+
+    A Fraction times a float is float(Fraction) times that float, so float
+    entries take float weights directly and give the same values."""
+    weight = float if all(isinstance(v, float) for v in x) else Fraction
+    r = [weight(Fraction(1, 2)) / v for v in x]
     for (i, j, k), c in triples.entries:
+        # ordered pairs (b, d) and (d, b) contribute equally to both sums, so
+        # both carry the weight 2 * c/8 = c/4
+        q = weight(c / 4)
         for a, b, d in ((i, j, k), (j, i, k), (k, i, j)):
-            # ordered pairs (b, d) and (d, b) contribute equally to both sums
-            r[a] = r[a] + 2 * eighth * c * (x[a] / (x[b] * x[d]))
-            r[a] = r[a] - quarter * c * (x[d] / (x[a] * x[b]) + x[b] / (x[a] * x[d]))
+            r[a] = r[a] + q * (x[a] / (x[b] * x[d]))
+            r[a] = r[a] - q * (x[d] / (x[a] * x[b]) + x[b] / (x[a] * x[d]))
     return r
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .rootsys import (
@@ -77,8 +77,9 @@ class TripleTensor:
         key = tuple(sorted((i, j, k)))
         return self._lookup.get(key, Fraction(0))
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[tuple[int, int, int], Fraction]:
+        # kept in the instance dict, outside the fields that equality and hashing use
         return dict(self.entries)
 
     def permuted(self, sigma: tuple[int, ...]) -> "TripleTensor":

@@ -337,8 +337,9 @@ def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> Mu
     return _from_kernel(remainder.items(), ring, scale)
 
 
-def _interreduce(polys: list[_Poly], ring: _Monomials) -> list[_Poly]:
-    """Reduce each generator against the others until stable; drop zeros."""
+def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = None) -> list[_Poly]:
+    """Reduce each generator against the others until stable; drop zeros.
+    *max_bits* bounds each reduction as in _reduce."""
     current = list(polys)
     changed = True
     while changed:
@@ -348,7 +349,7 @@ def _interreduce(polys: list[_Poly], ring: _Monomials) -> list[_Poly]:
         for i, p in enumerate(current):
             others = result + current[i + 1:]
             if others:
-                remainder, _ = _reduce(_terms(p), 1, others, ring)
+                remainder, _ = _reduce(_terms(p), 1, others, ring, max_bits)
                 if not remainder:
                     changed = True
                     continue
@@ -368,7 +369,7 @@ def _buchberger_loop(
     stats: GroebnerStats,
 ) -> list[_Poly]:
     """Core pair loop over primitive polynomials; raises _BudgetExceeded."""
-    basis = _interreduce(polys, ring)
+    basis = _interreduce(polys, ring, budget.max_coeff_bits)
     if not basis:
         return []
     leads = [p.lead for p in basis]
@@ -428,7 +429,7 @@ def _buchberger_loop(
         leads.append(new_poly.lead)
         update_pairs(len(basis) - 1)
 
-    return _interreduce(basis, ring)
+    return _interreduce(basis, ring, budget.max_coeff_bits)
 
 
 def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:

@@ -552,6 +552,11 @@ def _solve_linear_exact(poly: MultiPoly, var: str, x6_name: str, x6_value: Fract
     return -b / a
 
 
+# Newton outcome of one start; all but the first are rejection reasons
+_OUTCOMES = ("convergent", "non-finite", "singular Jacobian", "iteration cap", "non-positive coordinate")
+_CONVERGED, _NON_FINITE, _SINGULAR, _ITERATION_CAP, _NON_POSITIVE = range(len(_OUTCOMES))
+
+
 def newton_oracle(
     system: EinsteinSystem,
     starts: int = 100_000,
@@ -563,7 +568,10 @@ def newton_oracle(
     [1e-2, 1e2]^dim; converged positive points are deduplicated up to scale
     and Weyl permutation.  Deterministic for a fixed seed.  Explicit
     *initial_points* (free-variable vectors) are iterated before the random
-    starts; a point already at a solution is a fixed point of the iteration."""
+    starts; a point already at a solution is a fixed point of the iteration.
+
+    The case note counts the starts rejected for each reason and the points
+    that reached each class (its basin hits), in class order."""
     import numpy as np
 
     if starts < 1:
@@ -597,37 +605,113 @@ def newton_oracle(
             out.append((monomials[e], float(c)))
         return out
 
-    poly_rows = [rows(p) for p in polys]
-    jac_rows = [[rows(d) for d in row] for row in jacobian]
-    exponents = np.array(list(monomials), dtype=np.int64)  # (M, dim)
-    max_exp = exponents.max(axis=0)
+    def term_table(row_lists):
+        """Terms of several polynomials grouped by position.  Polynomials are
+        taken longest first, so position t covers a prefix of them."""
+        order = sorted(range(len(row_lists)), key=lambda a: -len(row_lists[a]))
+        steps = []
+        for t in range(max(len(r) for r in row_lists)):
+            members = [row_lists[a][t] for a in order if len(row_lists[a]) > t]
+            idx = np.array([m for m, _ in members])
+            coeff = np.array([c for _, c in members])[:, None]
+            steps.append((len(members), idx, coeff))
+        return np.argsort(order), steps
 
-    def monomial_matrix(X: "np.ndarray") -> "np.ndarray":
+    poly_terms = term_table([rows(p) for p in polys])
+    residual_exponents = np.array(list(monomials), dtype=np.int64)  # F's monomials only
+    jac_terms = term_table([rows(d) for row in jacobian for d in row])
+    exponents = np.array(list(monomials), dtype=np.int64)  # (M, dim): F's, then J's
+
+    def monomial_matrix(X: "np.ndarray", exps: "np.ndarray") -> "np.ndarray":
+        """(monomial, point) values; one contiguous row per monomial."""
         N = X.shape[0]
-        mono = np.ones((N, len(monomials)))
+        mono = np.ones((len(exps), N))
         for v in range(dim):
-            powers = np.empty((N, max_exp[v] + 1))
-            powers[:, 0] = 1.0
-            for e in range(1, max_exp[v] + 1):
-                powers[:, e] = powers[:, e - 1] * X[:, v]
-            mono *= powers[:, exponents[:, v]]
+            top = exps[:, v].max()
+            powers = np.empty((top + 1, N))
+            powers[0] = 1.0
+            for e in range(1, top + 1):
+                powers[e] = powers[e - 1] * X[:, v]
+            mono *= powers[exps[:, v]]
         return mono
 
-    def combine(mono: "np.ndarray", row_list) -> "np.ndarray":
-        acc = np.zeros(mono.shape[0])
-        for idx, coeff in row_list:
-            acc += coeff * mono[:, idx]
-        return acc
+    def combine(mono: "np.ndarray", table) -> "np.ndarray":
+        """(polynomial, point) values; each polynomial sums its terms in
+        its own order, starting from zero."""
+        inverse, steps = table
+        acc = np.zeros((len(inverse), mono.shape[1]))
+        for k, idx, coeff in steps:
+            acc[:k] += coeff * mono[idx]
+        return acc[inverse]
 
-    def residual_values(X: "np.ndarray") -> "np.ndarray":
-        mono = monomial_matrix(X)
-        return np.stack([combine(mono, r) for r in poly_rows], axis=1)
+    def residual_norm(X: "np.ndarray") -> "np.ndarray":
+        """max |F_i| per row, from F's own monomials."""
+        return np.abs(combine(monomial_matrix(X, residual_exponents), poly_terms)).max(axis=0)
 
-    rng = np.random.default_rng(seed)
-    chunk = 16384
-    found: list[tuple[float, ...]] = []
     max_iter = 60
     newton_tol = 1e-12
+    halvings = 25  # line-search step lengths 2^0 .. 2^-24
+    probe = 256  # trial points per line-search round once few rows remain
+
+    def iterate(X: "np.ndarray") -> "np.ndarray":
+        """Damped Newton on the rows of X in place; each row ends with one
+        outcome code.  Rows are independent, so any split of X into blocks
+        gives the same iterates."""
+        # rows still iterating carry _ITERATION_CAP, which is final after max_iter
+        outcome = np.full(X.shape[0], _ITERATION_CAP, dtype=np.int8)
+        for _ in range(max_iter):
+            idx = np.flatnonzero(outcome == _ITERATION_CAP)
+            if idx.size == 0:
+                break
+            mono = monomial_matrix(X[idx], exponents)
+            F = combine(mono, poly_terms).T
+            norm = np.abs(F).max(axis=1)
+            good = np.isfinite(norm)
+            converged = good & (norm < newton_tol)
+            outcome[idx[converged]] = _CONVERGED
+            outcome[idx[~good]] = _NON_FINITE
+            keep_mask = ~converged & good
+            sub = idx[keep_mask]
+            if sub.size == 0:
+                continue
+            mono = mono[:, keep_mask]
+            J = combine(mono, jac_terms).T.reshape(sub.size, len(polys), dim)
+            dets = np.linalg.det(J)
+            solvable = np.abs(dets) > 1e-280
+            outcome[sub[~solvable]] = _SINGULAR
+            sub = sub[solvable]
+            if sub.size == 0:
+                continue
+            step = np.linalg.solve(J[solvable], F[keep_mask][solvable][..., None])[..., 0]
+            base_norm = norm[keep_mask][solvable]
+            lam = np.ones(sub.size)
+            Xa = X[sub]
+            # backtracking; lam = 2^-halvings when every length fails.  An
+            # accepted step never changes, so each round tests only the rows
+            # rejected so far; when few remain, a round tests several halvings
+            trial = np.arange(sub.size)
+            tried = 0
+            while trial.size and tried < halvings:
+                width = min(halvings - tried, max(1, probe // trial.size))
+                scales = np.ldexp(1.0, -np.arange(tried, tried + width))
+                at = np.repeat(trial, width)
+                lam_try = np.tile(scales, trial.size)
+                trial_norm = residual_norm(Xa[at] - lam_try[:, None] * step[at])
+                bad = (~np.isfinite(trial_norm) | (trial_norm > base_norm[at])).reshape(-1, width)
+                failed = bad.all(axis=1)
+                passed = ~failed
+                lam[trial[passed]] = scales[bad[passed].argmin(axis=1)]
+                tried += width
+                trial = trial[failed]
+                lam[trial] = np.ldexp(1.0, -tried)
+            X[sub] = Xa - lam[:, None] * step
+        return outcome
+
+    rng = np.random.default_rng(seed)
+    chunk = 16384  # rows per random draw
+    block = 2048  # rows per Newton pass; bounds the working arrays
+    found: list[tuple[float, ...]] = []
+    outcomes = np.zeros(len(_OUTCOMES), dtype=np.int64)
 
     pending = [np.asarray(initial_points, dtype=float)] if initial_points else []
     remaining = starts
@@ -638,75 +722,49 @@ def newton_oracle(
             n = min(chunk, remaining)
             remaining -= n
             X = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, dim))
-        n = X.shape[0]
-        active = np.ones(n, dtype=bool)
-        for _ in range(max_iter):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            mono = monomial_matrix(X[idx])
-            F = np.stack([combine(mono, r) for r in poly_rows], axis=1)
-            norm = np.abs(F).max(axis=1)
-            good = np.isfinite(norm)
-            converged = good & (norm < newton_tol)
-            active[idx[converged]] = False
-            active[idx[~good]] = False
-            keep_mask = ~converged & good
-            sub = idx[keep_mask]
-            if sub.size == 0:
-                continue
-            J = np.empty((sub.size, len(polys), dim))
-            for a, row in enumerate(jac_rows):
-                for b, r in enumerate(row):
-                    J[:, a, b] = combine(mono[keep_mask], r)
-            dets = np.linalg.det(J)
-            solvable = np.abs(dets) > 1e-280
-            active[sub[~solvable]] = False
-            sub = sub[solvable]
-            if sub.size == 0:
-                continue
-            step = np.linalg.solve(J[solvable], F[keep_mask][solvable][..., None])[..., 0]
-            base_norm = norm[keep_mask][solvable]
-            lam = np.ones(sub.size)
-            Xa = X[sub]
-            for _ in range(25):
-                trial_norm = np.abs(residual_values(Xa - lam[:, None] * step)).max(axis=1)
-                bad = ~np.isfinite(trial_norm) | (trial_norm > base_norm)
-                if not bad.any():
-                    break
-                lam[bad] *= 0.5
-            X[sub] = Xa - lam[:, None] * step
-        stopped = np.flatnonzero(~active)
-        Xs = X[stopped]
-        if Xs.size:
-            F = residual_values(Xs)
-            ok = np.isfinite(F).all(axis=1) & (np.abs(F).max(axis=1) < newton_tol)
-            ok &= (Xs > tol).all(axis=1)
-            for row in Xs[ok]:
+        for lo in range(0, X.shape[0], block):
+            Xb = X[lo : lo + block]
+            outcome = iterate(Xb)
+            positive = (Xb > tol).all(axis=1)
+            outcome[(outcome == _CONVERGED) & ~positive] = _NON_POSITIVE
+            outcomes += np.bincount(outcome, minlength=len(_OUTCOMES))
+            for row in Xb[outcome == _CONVERGED]:
                 found.append(tuple(float(v) for v in row))
 
     triples = triple_tensor(spec)
     accepted: list[EinsteinSolution] = []
     reps: list[tuple] = []
+    hits: list[int] = []  # points per class, in class order
+    spurious = 0
     for point in sorted(found):
         values = system.metric_values(dict(zip(system.variables, point)))
         metric = InvariantMetric.floating(values)
         _, residual = einstein_residual(metric, triples)
         if float(residual) >= tol:
+            spurious += 1
             continue
         canon = tuple(float(v) for v in canonical_vector(spec, metric.x))
-        if any(_close(canon, rep, 1e-6) for rep in reps):
+        match = next((k for k, rep in enumerate(reps) if _close(canon, rep, 1e-6)), None)
+        if match is not None:
+            hits[match] += 1
             continue
         reps.append(canon)
+        hits.append(1)
         accepted.append(_solution_from_metric(spec, metric, "numeric"))
     result.solutions = accepted
+    reasons = [f"{outcomes[code]} {_OUTCOMES[code]}" for code in range(1, len(_OUTCOMES))]
+    reasons.append(f"{spurious} residual >= tol")
+    basins = " / ".join(str(h) for h in hits) or "none"
     result.cases.append(
         CaseRecord(
             name="newton oracle",
             assignments={k: str(v) for k, v in system.assignments.items()},
             saturations=[],
             status="complete",
-            notes=f"{starts} starts, seed {seed}, {len(found)} convergent, {len(accepted)} classes",
+            notes=(
+                f"{starts} starts, seed {seed}, {len(found)} convergent, {len(accepted)} classes; "
+                f"rejected: {', '.join(reasons)}; basin hits per class: {basins}"
+            ),
         )
     )
     return result

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from flagein.curvature import (
     InvariantMetric,
+    _ricci_values,
     apply_permutation,
     einstein_residual,
     is_kaehler,
@@ -195,3 +196,19 @@ def test_float_mode_matches_exact():
     exact = ricci(InvariantMetric.exact([3, 1, 4, 5, 6, 9]), triples).r
     floats = ricci(InvariantMetric.floating([3, 1, 4, 5, 6, 9]), triples).r
     assert all(abs(a - float(b)) < 1e-15 for a, b in zip(floats, exact))
+
+
+def test_float_ricci_values_match_per_term_weights():
+    # the weight c/4 is taken once per triple (as a float for float entries);
+    # the values must equal the per-term Fraction expression bit for bit
+    triples = triple_tensor(root_system("G2"))
+    x = [1.0, 0.21737038078158796, 1.0234269081025682, 0.3, 0.9999999999999994, 1e-3]
+    expected = [F(1, 2) / v for v in x]
+    eighth, quarter = F(1, 8), F(1, 4)
+    for (i, j, k), c in triples.entries:
+        for a, b, d in ((i, j, k), (j, i, k), (k, i, j)):
+            expected[a] = expected[a] + 2 * eighth * c * (x[a] / (x[b] * x[d]))
+            expected[a] = expected[a] - quarter * c * (x[d] / (x[a] * x[b]) + x[b] / (x[a] * x[d]))
+    values = _ricci_values(x, triples)
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [v.hex() for v in expected]

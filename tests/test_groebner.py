@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -145,6 +146,23 @@ def test_budget_names_the_limit():
     tight = buchberger(gens, LEX, GroebnerBudget(max_coeff_bits=1))
     assert tight.status == "budget_exceeded"
     assert tight.stats.budget_limit == "coeff_bits"
+
+
+def test_budget_bounds_interreduction():
+    # the grevlex pass finishes at once on this non-zero-dimensional ideal; the
+    # lex pass then interreduces its seeds, whose coefficients grow without
+    # end unless the bit budget bounds that step too
+    xyz = ("x", "y", "z")
+    gens = [
+        parse_polynomial("4*x^2*z - 2*x*z^2 - 2*y", xyz),
+        parse_polynomial("x^2*y^2*z^2 + 5*x^2*y*z^2 - 5/3*x*y*z^2 - 2*x^2*y", xyz),
+        parse_polynomial("-1/2*x^2*z^2 + 4*x^2*z + x*z^2 - 2*y*z", xyz),
+    ]
+    started = time.perf_counter()
+    result = buchberger(gens, TermOrder("lex", xyz), GroebnerBudget(max_pairs=60, max_coeff_bits=200))
+    assert time.perf_counter() - started < 10.0
+    assert result.status == "budget_exceeded"
+    assert result.stats.budget_limit == "coeff_bits"
 
 
 @pytest.mark.parametrize("op", ["reduce", "buchberger"])

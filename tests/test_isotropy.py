@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagein.errors import DomainError
-from flagein.isotropy import n_squared, root_string, triple_tensor
+from flagein.isotropy import TripleTensor, n_squared, root_string, triple_tensor
 from flagein.rootsys import (
     all_roots,
     killing_form,
@@ -130,6 +130,14 @@ def test_tensor_value_lookup_symmetric():
     tensor = triple_tensor(root_system("G2"))
     assert tensor.value(0, 1, 2) == tensor.value(2, 1, 0) == tensor.value(1, 0, 2) == F(1, 4)
     assert tensor.value(0, 1, 3) == 0
+
+
+def test_tensor_lookup_is_built_once_outside_equality():
+    tensor = triple_tensor(root_system("G2"))
+    fresh = TripleTensor(entries=tensor.entries, dims=tensor.dims)
+    assert tensor.value(0, 1, 2) == F(1, 4)
+    assert tensor._lookup is tensor._lookup
+    assert tensor == fresh and hash(tensor) == hash(fresh)
 
 
 def test_tensor_records_are_exact_strings():

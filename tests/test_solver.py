@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -245,6 +246,48 @@ def test_oracle_fixed_point_at_exact_solution(g2):
     result = newton_oracle(system, starts=1, seed=0, tol=1e-12, initial_points=[point])
     ke = next(s for s in result.solutions if s.kaehler)
     assert all(abs(float(a) - b) < 1e-9 for a, b in zip(ke.metric.x, (1.0,) + point))
+
+
+def test_oracle_output_is_pinned(g2):
+    # recorded before the Newton kernel was vectorized; the kernel works row
+    # by row, so iterates and convergent points must not move by one bit
+    result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=2000, seed=1)
+    assert result.cases[0].notes.startswith("2000 starts, seed 1, 409 convergent, 3 classes;")
+    pinned = [
+        (
+            "0.333333333,0.111111111,0.444444444,0.555555556,0.666666667,1",
+            "(1.0, 0.16666666666663854, 0.833333333333286, 0.6666666666665844, 0.4999999999998876, 1.4999999999999762)",
+            "3.086420008457935e-14",
+        ),
+        (
+            "0.727003339,1,1,0.212394631,0.977109349,0.977109349",
+            "(1.0, 0.21737038078158796, 1.0234269081025682, 1.023426908102568, 0.9999999999999994, 0.7440347799024191)",
+            "5.551115123125783e-16",
+        ),
+        (
+            "0.558783892,0.15435849,0.578187834,0.578187834,0.558783892,1",
+            "(1.0, 0.27624004892420795, 1.0347253080006227, 1.034725308000619, 0.9999999999999893, 1.7896006223103664)",
+            "4.440892098500626e-16",
+        ),
+    ]
+    assert [(s.isometry_class, repr(s.metric.x), repr(s.residual)) for s in result.solutions] == pinned
+
+
+def test_oracle_note_accounts_for_every_start(g2):
+    result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=10_000, seed=1)
+    notes = result.cases[0].notes
+    assert notes == (
+        "10000 starts, seed 1, 2027 convergent, 3 classes; rejected: 0 non-finite, "
+        "0 singular Jacobian, 10 iteration cap, 7963 non-positive coordinate, "
+        "567 residual >= tol; basin hits per class: 774 / 431 / 255"
+    )
+    # every start is convergent or rejected before the residual check; every
+    # convergent point is a residual rejection or a basin hit
+    starts, _seed, convergent, classes, *rest = (int(n) for n in re.findall(r"\d+", notes))
+    newton, residual, hits = rest[:4], rest[4], rest[5:]
+    assert len(hits) == classes
+    assert convergent + sum(newton) == starts
+    assert residual + sum(hits) == convergent
 
 
 def test_classify_merges_weyl_copies(g2):
