@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from flagein.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
-from flagein.polyalg.groebner import GroebnerBudget
+from flagein.polyalg.groebner import saturate
 from flagein.polyalg.poly import MultiPoly, format_polynomial
-from flagein.solver import _saturate_cached, build_system
+from flagein.solver import build_system
 from flagein.rootsys import root_system
 
 
@@ -186,7 +186,7 @@ def test_groebner_isolates_elimination_polynomial(tmp_path, capsys, g2):
     names = system.variables
     constraints = [MultiPoly.variable(v, names) for v in names]
     constraints.append(MultiPoly.variable("x6", names) - MultiPoly.constant(1, names))
-    basis = _saturate_cached(system.polynomials, tuple(constraints), GroebnerBudget())
+    basis = saturate(list(system.polynomials), constraints)
     source = tmp_path / "saturated.txt"
     source.write_text(
         "\n".join(format_polynomial(g, basis.order) for g in basis.generators) + "\n"

@@ -6,7 +6,7 @@ import pytest
 from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual
 from flagein.errors import DomainError
 from flagein.isotropy import triple_tensor
-from flagein.polyalg.groebner import GroebnerBudget
+from flagein.polyalg.groebner import GroebnerBudget, reduce_poly
 from flagein.polyalg.poly import (
     LaurentPoly,
     MultiPoly,
@@ -130,7 +130,9 @@ def test_symmetric_ansatz_case_log(ansatz_result):
     assert second.elimination_degree == 14
     assert second.real_roots == 2
     assert second.positive_roots == 2
-    assert "reduces to zero" in check.notes
+    assert check.notes == "saturating the slice by x3 - x4 gives the unit ideal"
+    assert "x3 - x4" in check.saturations
+    assert "x6 - 1" not in check.saturations
 
 
 def test_symmetric_ansatz_solutions(ansatz_result):
@@ -190,6 +192,47 @@ def test_x4_x3_consistency_saturation_stats(g2):
     stats = basis.stats
     assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size) == (263, 142, 5)
     assert stats.max_coeff_bits == 1378
+    # x3 - x4 lies in the saturated slice ideal, which is not the unit ideal
+    gap = MultiPoly.variable("x3", names) - MultiPoly.variable("x4", names)
+    assert reduce_poly(gap, basis.generators, basis.order).is_zero()
+    assert basis.generators != [MultiPoly.constant(1, names)]
+
+
+def test_x4_x3_certificate_is_unit_ideal(g2):
+    """Saturating the x1 = x5 = 1 slice by x3 - x4 too leaves the unit ideal."""
+    from flagein.polyalg.groebner import saturate
+
+    wide = build_system(g2, normalization={"x1": 1, "x5": 1})
+    names = wide.variables
+    constraints = [MultiPoly.variable(v, names) for v in names]
+    constraints.append(MultiPoly.variable("x3", names) - MultiPoly.variable("x4", names))
+    basis = saturate(list(wide.polynomials), constraints)
+    assert basis.complete
+    assert basis.generators == [MultiPoly.constant(1, names)]
+    stats = basis.stats
+    assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size) == (73, 79, 1)
+    assert stats.max_coeff_bits == 285
+    assert stats.conversion == "grevlex+fglm"
+
+
+def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
+    """A complete saturation that is not the unit ideal refutes the ansatz."""
+    from flagein import solver
+    from flagein.polyalg.groebner import GroebnerBasis
+
+    real_saturate = solver.saturate
+
+    def fake_saturate(generators, nonvanishing, budget=None):
+        names = generators[0].vars
+        if names == ("x2", "x3", "x4", "x6"):
+            gap = MultiPoly.variable("x3", names) - MultiPoly.variable("x4", names)
+            return GroebnerBasis([gap], TermOrder("lex", names))
+        return real_saturate(generators, nonvanishing, budget)
+
+    monkeypatch.setattr(solver, "saturate", fake_saturate)
+    # a budget no other call uses, so no earlier result is reused
+    with pytest.raises(DomainError, match="x3 = x4 is not implied"):
+        solve_symmetric_ansatz(g2, GroebnerBudget(max_pairs=99_999))
 
 
 def test_general_case_budget_status(g2):
