@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import InvariantMetric, einstein_residual, kaehler_einstein_metric, ricci
@@ -27,8 +26,8 @@ from .polyalg.poly import TermOrder, format_polynomial, parse_polynomial_file
 from .polyalg.realroots import refine_root, sturm_isolate
 from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
-    BudgetExceededError,
     build_system,
+    classify_full,
     newton_oracle,
     solution_set_to_dict,
     solve_general_case,
@@ -41,31 +40,7 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the solver subcommands."""
-
-    group: str = "G2"
-    format: str = "table"
-    precision: float = 1e-10
-    seed: int = 0
-    starts: int = 100_000
-    budget_pairs: int = 100_000
-    budget_bits: int = 1_000_000
-    output: str | None = None
-
-    def __post_init__(self):
-        if not (0 < self.precision < 1):
-            raise ConfigurationError("precision must lie in (0, 1)")
-        if self.starts < 1:
-            raise ConfigurationError("starts must be >= 1")
-
-    @property
-    def budget(self) -> GroebnerBudget:
-        return GroebnerBudget(max_pairs=self.budget_pairs, max_coeff_bits=self.budget_bits)
-
-
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int | None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -210,29 +185,31 @@ def cmd_kaehler(args, out) -> int:
 
 
 def cmd_einstein(args, out) -> int:
-    config = RunConfig(
-        group=args.group,
-        format=args.format,
-        precision=args.precision,
-        seed=args.seed,
-        starts=args.starts,
-        budget_pairs=_env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
-        budget_bits=_env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
-        output=args.output,
-    )
-    spec = root_system(config.group)
+    if not (0 < args.precision < 1):
+        raise ConfigurationError("precision must lie in (0, 1)")
+    if args.starts < 1:
+        raise ConfigurationError("starts must be >= 1")
+    # a given flag or environment variable overrides that field of each branch's budget
+    limits = {
+        "max_pairs": _env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
+        "max_coeff_bits": _env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
+    }
+    budget = {name: value for name, value in limits.items() if value is not None}
+    spec = root_system(args.group)
     if args.mode == "symmetric":
-        result = solve_symmetric_ansatz(spec, config.budget)
+        result = solve_symmetric_ansatz(spec, budget)
     elif args.mode == "general":
-        result = solve_general_case(spec, config.budget)
+        result = solve_general_case(spec, budget)
+    elif args.mode == "full":
+        result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
     else:
         system = build_system(spec, normalization={"x1": 1})
-        result = newton_oracle(system, starts=config.starts, seed=config.seed, tol=config.precision)
+        result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
     payload = solution_set_to_dict(result)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             emit_json(payload, fh)
-    if config.format == "json":
+    if args.format == "json":
         emit_json(payload, out)
     else:
         out.write(f"group {result.group}, normalization: {result.normalization}\n")
@@ -347,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("einstein", help="solve the Einstein system")
     p.add_argument("group")
-    p.add_argument("--mode", choices=("symmetric", "general", "oracle"), default="oracle")
+    p.add_argument("--mode", choices=("symmetric", "general", "full", "oracle"), default="oracle")
     p.add_argument("--starts", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision", type=float, default=1e-10)
-    p.add_argument("--budget-pairs", type=int, default=100_000)
-    p.add_argument("--budget-bits", type=int, default=1_000_000)
+    p.add_argument("--budget-pairs", type=int, help="Groebner pair limit (default: each branch's own)")
+    p.add_argument("--budget-bits", type=int, help="Groebner coefficient-bit limit (default: each branch's own)")
     p.add_argument("--output", help="also write the JSON report to this path")
     add_format(p)
     p.set_defaults(func=cmd_einstein)
@@ -378,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, sys.stdout)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ConfigurationError, DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

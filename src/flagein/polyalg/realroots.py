@@ -34,19 +34,20 @@ def _derivative(c: Coeffs) -> Coeffs:
     return [i * coeff for i, coeff in enumerate(c)][1:]
 
 
-def _rem(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Remainder of exact polynomial division."""
-    a = list(a)
-    lead = b[-1]
+def divide(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """Exact quotient and remainder of a / b; b must have a non-zero lead."""
+    r = _strip(list(a))
     db = len(b) - 1
-    while len(a) - 1 >= db and _strip(a):
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        shift = len(r) - 1 - db
+        factor = r[-1] / b[-1]
+        q[shift] = factor
         for i, coeff in enumerate(b):
-            a[shift + i] -= factor * coeff
-        a.pop()
-        _strip(a)
-    return a
+            r[shift + i] -= factor * coeff
+        r.pop()
+        _strip(r)
+    return q, r
 
 
 def _primitive_signed(c: Coeffs) -> Coeffs:
@@ -65,7 +66,7 @@ def _primitive_signed(c: Coeffs) -> Coeffs:
 def _gcd_poly(a: Coeffs, b: Coeffs) -> Coeffs:
     a, b = list(a), list(b)
     while _strip(b):
-        a, b = b, _rem(a, b)
+        a, b = b, divide(a, b)[1]
     return _primitive_signed(a)
 
 
@@ -76,26 +77,13 @@ def square_free_part(c: Coeffs) -> Coeffs:
     g = _gcd_poly(c, d)
     if len(g) <= 1:
         return _primitive_signed(list(c))
-    # exact quotient c / g
-    q: Coeffs = []
-    rem = list(c)
-    lead = g[-1]
-    dg = len(g) - 1
-    while len(rem) - 1 >= dg and _strip(rem):
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dg
-        q.insert(0, factor)
-        for i, coeff in enumerate(g):
-            rem[shift + i] -= factor * coeff
-        rem.pop()
-        _strip(rem)
-    return _primitive_signed(q)
+    return _primitive_signed(divide(c, g)[0])
 
 
 def sturm_chain(c: Coeffs) -> list[Coeffs]:
     chain = [list(c), _derivative(c)]
     while _strip(chain[-1]):
-        nxt = [-v for v in _rem(chain[-2], chain[-1])]
+        nxt = [-v for v in divide(chain[-2], chain[-1])[1]]
         chain.append(_primitive_signed(_strip(nxt)))
     chain.pop()
     return chain

@@ -1,20 +1,22 @@
 """Einstein polynomial systems for K/T: exact case analysis and numeric oracle.
 
 The Einstein condition r_1 = ... = r_s becomes a polynomial system once the
-pairwise differences are cleared of their monomial denominators.  For G2 the
-case analysis runs a symmetric-ansatz branch (x1 = x5 = 1, x4 = x3) solved
-exactly by lex elimination and certified root isolation, plus a stretch
-general branch; a multi-start damped Newton oracle solves the same cleared
-systems in floating point as an independent check.  Solutions are classified
-up to isometry by scale normalization and the Weyl-induced coordinate
-permutations.
+pairwise differences are cleared of their monomial denominators.  The G2
+case analysis is data: each ``Branch`` row fixes a slice of the system and
+the factors it assumes non-zero, and one engine (``solve_branches``)
+saturates each slice, isolates the real roots of its univariate generator
+with Sturm certificates, and back-substitutes.  The symmetric-ansatz table
+(x1 = x5 = 1, x4 = x3) closes exactly; the general branch is a stretch that
+ends in 'budget_exceeded' at desk-scale budgets.  A multi-start damped
+Newton oracle solves the same cleared systems in floating point as an
+independent check.  Solutions are classified up to isometry by scale
+normalization and the Weyl-induced coordinate permutations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .curvature import (
     EinsteinSolution,
@@ -24,26 +26,12 @@ from .curvature import (
     is_kaehler,
     kaehler_einstein_metric,
 )
-from .errors import ConfigurationError, DomainError, FlageinError
+from .errors import ConfigurationError, DomainError
 from .isotropy import triple_tensor
 from .polyalg.groebner import GroebnerBudget, saturate
-from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder
-from .polyalg.realroots import interval_eval, refine_root, sturm_isolate
+from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_polynomial
+from .polyalg.realroots import divide, interval_eval, refine_root, sturm_isolate
 from .rootsys import RootSystemSpec, positive_roots, weyl_orbit_permutations
-
-
-class BudgetExceededError(FlageinError):
-    """A required elimination ran out of budget."""
-
-
-@lru_cache(maxsize=32)
-def _saturate_cached(
-    generators: tuple[MultiPoly, ...],
-    constraints: tuple[MultiPoly, ...],
-    budget: GroebnerBudget,
-):
-    """Eliminations are deterministic and reused across pipeline calls."""
-    return saturate(list(generators), list(constraints), budget)
 
 
 @dataclass(frozen=True)
@@ -201,10 +189,11 @@ def build_system(
 def _linear_solve_on_interval(
     poly: MultiPoly,
     var: str,
-    x6_enclosure: tuple[Fraction, Fraction],
-    x6_name: str,
+    enclosure: tuple[Fraction, Fraction],
+    eliminated: str,
 ) -> tuple[Fraction, Fraction]:
-    """Solve A(x6) * var + B(x6) = 0 over an interval enclosure of x6."""
+    """Solve A(t) * var + B(t) = 0 over an interval enclosure of t, the
+    *eliminated* variable; a zero-width enclosure gives the exact value."""
     if poly.degree_in(var) != 1:
         raise DomainError(f"generator is not linear in {var}")
     i = poly.vars.index(var)
@@ -217,9 +206,9 @@ def _linear_solve_on_interval(
             a_terms[tuple(reduced)] = c
         else:
             b_terms[tuple(reduced)] = c
-    a_coeffs = MultiPoly(poly.vars, a_terms).univariate_in(x6_name)
-    b_coeffs = MultiPoly(poly.vars, b_terms).univariate_in(x6_name)
-    lo, hi = x6_enclosure
+    a_coeffs = MultiPoly(poly.vars, a_terms).univariate_in(eliminated)
+    b_coeffs = MultiPoly(poly.vars, b_terms).univariate_in(eliminated)
+    lo, hi = enclosure
     a_lo, a_hi = interval_eval(a_coeffs, lo, hi)
     b_lo, b_hi = interval_eval(b_coeffs, lo, hi)
     if a_lo <= 0 <= a_hi:
@@ -304,16 +293,162 @@ def kaehler_einstein_solution(spec: RootSystemSpec) -> EinsteinSolution:
     return _solution_from_metric(spec, kaehler_einstein_metric(spec), "algebraic")
 
 
-def _univariate_generator(basis: list[MultiPoly], var: str) -> MultiPoly | None:
-    for g in basis:
-        if g.support_vars() == (var,):
-            return g
-    return None
+@dataclass(frozen=True)
+class Branch:
+    """One case of an exact case analysis, as data.
+
+    The slice is the Einstein system that *normalization*, *equalities* and
+    *pairs* give to ``build_system``.  It is saturated over the variable
+    *order* by every coordinate and by the *factors* (polynomial text).  With
+    *eliminate* set, the univariate generator of the saturation in that
+    variable loses the known *rational_roots* (each solved exactly), its
+    other positive real roots are isolated and refined, and the remaining
+    coordinates are back-substituted through generators linear in them.
+    Without it the saturation must be the unit ideal: no solution on the
+    slice has every coordinate and factor non-zero.
+    """
+
+    name: str
+    normalization: dict[str, Fraction | int]
+    equalities: dict[str, str]
+    pairs: tuple[tuple[int, int], ...] | None
+    order: tuple[str, ...]
+    factors: tuple[str, ...] = ()
+    eliminate: str | None = None
+    rational_roots: tuple[Fraction, ...] = ()
+    budget: GroebnerBudget = GroebnerBudget()
+
+
+_ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
+G2_SYMMETRIC_ANSATZ = (
+    Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, ("x3", "x2"), eliminate="x2"),
+    Branch("x6 != 1", {"x1": 1, "x5": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, ("x2", "x3", "x6"), ("x6 - 1",), "x6"),
+    Branch("x4 = x3 consistency", {"x1": 1, "x5": 1}, {}, None, ("x2", "x3", "x4", "x6"), ("x3 - x4",)),
+)
+G2_GENERAL_CASE = (
+    Branch(
+        "(x1 - x5)(x1 - x6)(x5 - x6) != 0",
+        {"x1": 1},
+        {},
+        # the published cleared system pairs r1 with r6 rather than r5 with r6
+        ((0, 1), (1, 2), (2, 3), (3, 4), (0, 5)),
+        ("x2", "x3", "x4", "x5", "x6"),
+        ("1 - x5", "1 - x6", "x5 - x6"),
+        "x6",
+        # the Kaehler-Einstein orbit
+        tuple(Fraction(r) for r in ("3", "2", "3/2", "1/2", "2/3", "1/3")),
+        GroebnerBudget(max_pairs=250, max_coeff_bits=2500),
+    ),
+)
+
+
+def solve_branches(
+    spec: RootSystemSpec,
+    normalization: str,
+    branches: tuple[Branch, ...],
+    budget: GroebnerBudget | dict[str, int] | None = None,
+    precision: Fraction = Fraction(1, 10**40),
+) -> SolutionSet:
+    """Run each branch of a G2 case analysis and collect its case log.
+
+    A *budget* replaces every branch's budget; a dict of ``GroebnerBudget``
+    fields overrides only those fields.  A branch that runs out of budget is
+    logged with the limit it hit and makes the status 'budget_exceeded'; the
+    other branches still run.
+    """
+    if spec.type_label != "G2":
+        raise ConfigurationError("the case analysis tables are specific to G2")
+    overrides = asdict(budget) if isinstance(budget, GroebnerBudget) else dict(budget or {})
+    result = SolutionSet(group=spec.type_label, normalization=normalization)
+    for branch in branches:
+        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **overrides), precision)
+        result.cases.append(record)
+        result.solutions.extend(solutions)
+        if record.status != "complete":
+            result.status = record.status
+    return result
+
+
+def _solve_branch(
+    spec: RootSystemSpec,
+    branch: Branch,
+    budget: GroebnerBudget,
+    precision: Fraction,
+) -> tuple[CaseRecord, list[EinsteinSolution]]:
+    system = build_system(spec, branch.normalization, branch.equalities, branch.pairs)
+    order = branch.order
+    constraints = [MultiPoly.variable(v, order) for v in order]
+    constraints += [parse_polynomial(f, order) for f in branch.factors]
+    basis = saturate([p.with_variables(order) for p in system.polynomials], constraints, budget)
+    record = CaseRecord(
+        name=branch.name,
+        assignments={**{k: str(v) for k, v in branch.normalization.items()}, **branch.equalities},
+        saturations=[*order, *branch.factors],
+        status=basis.status,
+    )
+    if not basis.complete:
+        stats = basis.stats
+        record.notes = (
+            f"exact elimination exceeded its {stats.budget_limit} budget after "
+            f"{stats.pairs_processed} pairs ({stats.pairs_discarded} discarded, "
+            f"{stats.max_coeff_bits} coefficient bits); the numeric oracle covers this region"
+        )
+        return record, []
+    if branch.eliminate is None:
+        factors = ", ".join(branch.factors)
+        if basis.generators != [MultiPoly.constant(1, order)]:
+            raise DomainError(f"{branch.name}: saturating the slice by {factors} does not give the unit ideal")
+        record.notes = f"saturating the slice by {factors} gives the unit ideal"
+        return record, []
+
+    var = branch.eliminate
+    univariate = next((g for g in basis.generators if g.support_vars() == (var,)), None)
+    if univariate is None:
+        raise DomainError(f"expected a univariate generator in {var}")
+    record.elimination_degree = univariate.degree_in(var)
+    remaining = univariate.univariate_in(var)
+    for root in branch.rational_roots:
+        remaining, rem = divide(remaining, [-root, Fraction(1)])
+        if rem:
+            raise DomainError(f"expected rational root {root} missing from the elimination polynomial")
+    record.real_roots = len(sturm_isolate(remaining))
+    positive = sturm_isolate(remaining, rng=(Fraction(0), None))
+    record.positive_roots = len(positive)
+
+    # an exact root is the zero-width enclosure of itself
+    enclosures = [(iv.lo, iv.hi) for iv in (refine_root(iv, precision) for iv in positive)]
+    enclosures += [(root, root) for root in branch.rational_roots]
+    solutions: list[EinsteinSolution] = []
+    rejected = 0
+    for lo, hi in enclosures:
+        bounds = {var: (lo, hi)}
+        for v in order:
+            if v != var:
+                gen = next(g for g in basis.generators if v in g.support_vars())
+                bounds[v] = _linear_solve_on_interval(gen, v, (lo, hi), var)
+        if any(v_lo <= 0 for v_lo, _ in bounds.values()):
+            rejected += 1
+            continue
+        values = system.metric_values({v: a if a == b else float((a + b) / 2) for v, (a, b) in bounds.items()})
+        metric = InvariantMetric.exact(values) if lo == hi else InvariantMetric.floating(values)
+        solutions.append(_solution_from_metric(spec, metric, "algebraic"))
+
+    notes = []
+    if branch.rational_roots:
+        notes.append(
+            f"{len(branch.rational_roots)} rational roots split off; residual factor degree {len(remaining) - 1}"
+        )
+    if not (record.real_roots or branch.rational_roots):
+        notes.append("no real roots; branch contributes no metrics")
+    if rejected:
+        notes.append(f"{rejected} positive-{var} roots rejected for a nonpositive coordinate")
+    record.notes = "; ".join(notes)
+    return record, solutions
 
 
 def solve_symmetric_ansatz(
     spec: RootSystemSpec,
-    budget: GroebnerBudget | None = None,
+    budget: GroebnerBudget | dict[str, int] | None = None,
     precision: Fraction = Fraction(1, 10**40),
 ) -> SolutionSet:
     """The x1 = x5 = 1, x4 = x3 branch of the G2 case analysis.
@@ -326,117 +461,12 @@ def solve_symmetric_ansatz(
     the unit ideal, so no solution there with non-zero coordinates has
     x3 != x4.
     """
-    if spec.type_label != "G2":
-        raise ConfigurationError("the symmetric ansatz case analysis is specific to G2")
-    budget = budget or GroebnerBudget()
-    system = build_system(
-        spec,
-        normalization={"x1": 1, "x5": 1},
-        equalities={"x4": "x3"},
-        pairs=[(0, 1), (1, 2), (2, 5)],
-    )
-    result = SolutionSet(group=spec.type_label, normalization="x1 = x5 = 1, x4 = x3")
-
-    # branch x6 = 1
-    sub_vars = ("x3", "x2")
-    substituted = [
-        p.substitute({"x6": 1}).with_variables(sub_vars) for p in system.polynomials
-    ]
-    branch = _saturate_cached(
-        tuple(substituted),
-        tuple(MultiPoly.variable(v, sub_vars) for v in sub_vars),
-        budget,
-    )
-    record = CaseRecord(
-        name="x6 = 1",
-        assignments={"x1": "1", "x5": "1", "x4": "x3", "x6": "1"},
-        saturations=["x2", "x3"],
-        status=branch.status,
-    )
-    if branch.complete:
-        quadratic = _univariate_generator(branch.generators, "x2")
-        if quadratic is None:
-            raise DomainError("expected a univariate generator in x2")
-        roots = sturm_isolate(quadratic)
-        record.elimination_degree = quadratic.degree_in("x2")
-        record.real_roots = len(roots)
-        record.positive_roots = len(sturm_isolate(quadratic, rng=(Fraction(0), None)))
-        record.notes = "no real roots; branch contributes no metrics"
-    result.cases.append(record)
-    if not branch.complete:
-        result.status = branch.status
-        raise BudgetExceededError("x6 = 1 branch exceeded the Groebner budget")
-
-    # branch x6 != 1
-    constraints = [MultiPoly.variable(v, system.variables) for v in system.variables]
-    constraints.append(
-        MultiPoly.variable("x6", system.variables) - MultiPoly.constant(1, system.variables)
-    )
-    elimination = _saturate_cached(system.polynomials, tuple(constraints), budget)
-    record = CaseRecord(
-        name="x6 != 1",
-        assignments={"x1": "1", "x5": "1", "x4": "x3"},
-        saturations=["x2", "x3", "x6", "x6 - 1"],
-        status=elimination.status,
-    )
-    result.cases.append(record)
-    if not elimination.complete:
-        result.status = elimination.status
-        raise BudgetExceededError("symmetric-ansatz elimination exceeded the Groebner budget")
-    univariate = _univariate_generator(elimination.generators, "x6")
-    if univariate is None:
-        raise DomainError("expected a univariate generator in x6")
-    record.elimination_degree = univariate.degree_in("x6")
-    intervals = sturm_isolate(univariate)
-    record.real_roots = len(intervals)
-    positive = sturm_isolate(univariate, rng=(Fraction(0), None))
-    record.positive_roots = len(positive)
-
-    gen_x2 = next(g for g in elimination.generators if "x2" in g.support_vars())
-    gen_x3 = next(g for g in elimination.generators if "x3" in g.support_vars())
-    triples = triple_tensor(spec)
-    for interval in positive:
-        tight = refine_root(interval, precision)
-        enclosure = (tight.lo, tight.hi) if not tight.is_exact else (tight.lo, tight.lo)
-        x2_lo, x2_hi = _linear_solve_on_interval(gen_x2, "x2", enclosure, "x6")
-        x3_lo, x3_hi = _linear_solve_on_interval(gen_x3, "x3", enclosure, "x6")
-        x6 = float(tight.midpoint())
-        x2 = float((x2_lo + x2_hi) / 2)
-        x3 = float((x3_lo + x3_hi) / 2)
-        metric = InvariantMetric.floating((1.0, x2, x3, x3, 1.0, x6))
-        metric.require_positive()
-        result.solutions.append(_solution_from_metric(spec, metric, "algebraic"))
-
-    # x4 = x3 on the whole x1 = x5 = 1 slice: by the Rabinowitsch trick the
-    # saturation by x3 - x4 is [1] exactly when no solution there has x3 != x4
-    wide = build_system(spec, normalization={"x1": 1, "x5": 1})
-    wide_constraints = [MultiPoly.variable(v, wide.variables) for v in wide.variables]
-    wide_constraints.append(
-        MultiPoly.variable("x3", wide.variables) - MultiPoly.variable("x4", wide.variables)
-    )
-    certificate = _saturate_cached(wide.polynomials, tuple(wide_constraints), budget)
-    check = CaseRecord(
-        name="x4 = x3 consistency",
-        assignments={"x1": "1", "x5": "1"},
-        saturations=["x2", "x3", "x4", "x6", "x3 - x4"],
-        status=certificate.status,
-    )
-    if certificate.complete:
-        if certificate.generators != [MultiPoly.constant(1, wide.variables)]:
-            raise DomainError("x3 = x4 is not implied on the x1 = x5 slice")
-        check.notes = "saturating the slice by x3 - x4 gives the unit ideal"
-    else:
-        check.notes = "budget exceeded; identification kept as an ansatz"
-    result.cases.append(check)
-    return result
-
-
-_GENERAL_LINEAR_FACTORS = ((1, -3), (1, -2), (2, -3), (2, -1), (3, -2), (3, -1))
+    return solve_branches(spec, "x1 = x5 = 1, x4 = x3", G2_SYMMETRIC_ANSATZ, budget, precision)
 
 
 def solve_general_case(
     spec: RootSystemSpec,
-    budget: GroebnerBudget | None = None,
+    budget: GroebnerBudget | dict[str, int] | None = None,
     precision: Fraction = Fraction(1, 10**40),
 ) -> SolutionSet:
     """The x1 = 1 branch with x1, x5, x6 pairwise distinct.
@@ -445,114 +475,7 @@ def solve_general_case(
     runs out the result carries status 'budget_exceeded' and classification
     falls back to the numeric oracle for this region.
     """
-    if spec.type_label != "G2":
-        raise ConfigurationError("the general case analysis is specific to G2")
-    budget = budget or GroebnerBudget(max_pairs=250, max_coeff_bits=2500)
-    # the published cleared system pairs r1 with r6 rather than r5 with r6
-    system = build_system(
-        spec, normalization={"x1": 1}, pairs=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]
-    )
-    result = SolutionSet(group=spec.type_label, normalization="x1 = 1")
-    names = system.variables
-    constraints = [MultiPoly.variable(v, names) for v in names]
-    one = MultiPoly.constant(1, names)
-    x5 = MultiPoly.variable("x5", names)
-    x6 = MultiPoly.variable("x6", names)
-    constraints.extend([one - x5, one - x6, x5 - x6])
-    elimination = _saturate_cached(system.polynomials, tuple(constraints), budget)
-    record = CaseRecord(
-        name="(x1 - x5)(x1 - x6)(x5 - x6) != 0",
-        assignments={"x1": "1"},
-        saturations=[*(str(v) for v in names), "1 - x5", "1 - x6", "x5 - x6"],
-        status=elimination.status,
-    )
-    result.cases.append(record)
-    if not elimination.complete:
-        stats = elimination.stats
-        record.notes = (
-            f"exact elimination exceeded its {stats.budget_limit} budget after "
-            f"{stats.pairs_processed} pairs ({stats.pairs_discarded} discarded, "
-            f"{stats.max_coeff_bits} coefficient bits); the numeric oracle covers this region"
-        )
-        result.status = "budget_exceeded"
-        return result
-
-    univariate = _univariate_generator(elimination.generators, "x6")
-    if univariate is None:
-        raise DomainError("expected a univariate generator in x6")
-    record.elimination_degree = univariate.degree_in("x6")
-    coeffs = univariate.univariate_in("x6")
-    # divide out the six rational solution factors
-    remaining = coeffs
-    for a, b in _GENERAL_LINEAR_FACTORS:
-        quotient, rem = _divide_linear(remaining, Fraction(a), Fraction(b))
-        if rem != 0:
-            raise DomainError("expected linear factor missing from the elimination polynomial")
-        remaining = quotient
-    record.notes = f"six rational roots split off; residual factor degree {len(remaining) - 1}"
-    positive = sturm_isolate(remaining, rng=(Fraction(0), None))
-    record.real_roots = len(sturm_isolate(remaining))
-    record.positive_roots = len(positive)
-
-    shape = {
-        v: next(g for g in elimination.generators if v in g.support_vars())
-        for v in ("x2", "x3", "x4", "x5")
-    }
-    rejected = 0
-    for interval in positive:
-        tight = refine_root(interval, precision)
-        enclosure = (tight.lo, tight.hi)
-        values: dict[str, float] = {"x6": float(tight.midpoint())}
-        nonpositive = False
-        for v, gen in shape.items():
-            lo, hi = _linear_solve_on_interval(gen, v, enclosure, "x6")
-            values[v] = float((lo + hi) / 2)
-            if hi <= 0:
-                nonpositive = True
-        if nonpositive:
-            rejected += 1
-            continue
-        metric = InvariantMetric.floating(system.metric_values(values))
-        result.solutions.append(_solution_from_metric(spec, metric, "algebraic"))
-    record.notes += f"; {rejected} positive-x6 roots rejected for a nonpositive coordinate"
-
-    # the six rational roots are the Kaehler-Einstein orbit
-    for a, b in _GENERAL_LINEAR_FACTORS:
-        x6_value = Fraction(-b, a)
-        point: dict[str, Fraction] = {"x6": x6_value}
-        for v, gen in shape.items():
-            point[v] = _solve_linear_exact(gen, v, "x6", x6_value)
-        metric = InvariantMetric.exact(system.metric_values(point))
-        result.solutions.append(_solution_from_metric(spec, metric, "algebraic"))
-    return result
-
-
-def _divide_linear(coeffs: list[Fraction], a: Fraction, b: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Divide by (a*x + b); returns (quotient ascending, remainder)."""
-    quotient = [Fraction(0)] * (len(coeffs) - 1)
-    rem = Fraction(0)
-    for i in range(len(coeffs) - 1, -1, -1):
-        current = coeffs[i] + rem
-        if i == 0:
-            return quotient, current
-        quotient[i - 1] = current / a
-        rem = -quotient[i - 1] * b
-    return quotient, rem
-
-
-def _solve_linear_exact(poly: MultiPoly, var: str, x6_name: str, x6_value: Fraction) -> Fraction:
-    i = poly.vars.index(var)
-    a = Fraction(0)
-    b = Fraction(0)
-    for exp, c in poly.terms.items():
-        value = c * x6_value ** exp[poly.vars.index(x6_name)]
-        if exp[i] == 1:
-            a += value
-        else:
-            b += value
-    if a == 0:
-        raise DomainError("degenerate linear generator")
-    return -b / a
+    return solve_branches(spec, "x1 = 1", G2_GENERAL_CASE, budget, precision)
 
 
 # Newton outcome of one start; all but the first are rejection reasons
@@ -784,7 +707,7 @@ def classify_full(
     starts: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
-    budget: GroebnerBudget | None = None,
+    budget: GroebnerBudget | dict[str, int] | None = None,
 ) -> SolutionSet:
     """Combine the exact case analysis with the numeric oracle and classify.
 
@@ -795,14 +718,11 @@ def classify_full(
     cases: list[CaseRecord] = []
     status = "complete"
     if spec.type_label == "G2":
-        ansatz = solve_symmetric_ansatz(spec, budget)
-        solutions.extend(ansatz.solutions)
-        cases.extend(ansatz.cases)
-        general = solve_general_case(spec, budget)
-        solutions.extend(general.solutions)
-        cases.extend(general.cases)
-        if general.status != "complete":
-            status = general.status
+        for part in (solve_symmetric_ansatz(spec, budget), solve_general_case(spec, budget)):
+            solutions.extend(part.solutions)
+            cases.extend(part.cases)
+            if part.status != "complete":
+                status = part.status
     system = build_system(spec, normalization={"x1": 1})
     oracle = newton_oracle(system, starts=starts, seed=seed, tol=tol)
     solutions.extend(oracle.solutions)

@@ -119,6 +119,42 @@ def test_einstein_general_budget_exit(capsys):
     assert payload["status"] == "budget_exceeded"
 
 
+def test_einstein_symmetric_budget_overrun_still_reports(capsys):
+    code, out, _ = run(
+        capsys, "einstein", "G2", "--mode", "symmetric", "--budget-pairs", "50", "--format", "json",
+    )
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert payload["status"] == "budget_exceeded"
+    # x6 = 1 needs 16 pairs, x6 != 1 121 and the x4 = x3 certificate 73
+    assert [c["status"] for c in payload["cases"]] == ["complete", "budget_exceeded", "budget_exceeded"]
+    assert "pairs budget after 50 pairs" in payload["cases"][1]["notes"]
+    assert payload["solutions"] == []
+
+
+def test_einstein_general_uses_the_branch_budget(capsys):
+    """Without budget flags the general branch runs under its own 250 / 2500."""
+    code, out, _ = run(capsys, "einstein", "G2", "--mode", "general", "--format", "json")
+    assert code == EXIT_BUDGET
+    notes = json.loads(out)["cases"][0]["notes"]
+    assert "exceeded its coeff_bits budget after 137 pairs" in notes
+
+
+def test_einstein_full_classification(capsys):
+    code, out, _ = run(
+        capsys, "einstein", "G2", "--mode", "full", "--starts", "2000", "--seed", "1",
+        "--budget-pairs", "125", "--format", "json",
+    )
+    # 125 pairs close the ansatz branches (at most 121) and stop the general
+    # branch early; the oracle covers that region
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert payload["status"] == "budget_exceeded"
+    assert [c["status"] for c in payload["cases"]] == ["complete"] * 3 + ["budget_exceeded", "complete"]
+    assert len(payload["solutions"]) == 3
+    assert sum(1 for s in payload["solutions"] if s["kaehler"]) == 1
+
+
 def test_einstein_oracle_a1(capsys):
     code, out, _ = run(capsys, "einstein", "A1", "--mode", "oracle", "--starts", "10", "--format", "json")
     assert code == EXIT_OK

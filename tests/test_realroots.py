@@ -54,9 +54,19 @@ def test_known_cubic():
     assert len(sturm_isolate(poly, rng=(F(-3), F(2)))) == 1
 
 
-def test_repeated_roots_squarefreed():
-    poly = parse_polynomial("x^3 - 3*x + 2", ("x",))  # (x - 1)^2 (x + 2)
-    assert len(sturm_isolate(poly)) == 2
+@pytest.mark.parametrize(
+    "text, roots",
+    [
+        pytest.param("x^3 - 3*x + 2", (1, -2), id="cubic"),  # (x - 1)^2 (x + 2)
+        # (x^2 - 4)^2: the square-free quotient has an interior zero coefficient
+        pytest.param("x^4 - 8*x^2 + 16", (-2, 2), id="quartic"),
+    ],
+)
+def test_repeated_roots_squarefreed(text, roots):
+    intervals = sturm_isolate(parse_polynomial(text, ("x",)))
+    assert len(intervals) == 2
+    for r in roots:
+        assert sum(1 for iv in intervals if iv.lo <= r <= iv.hi) == 1
 
 
 def test_zero_polynomial_rejected():

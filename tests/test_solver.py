@@ -16,12 +16,14 @@ from flagein.polyalg.poly import (
 )
 from flagein.rootsys import positive_roots, root_system, weyl_orbit_permutations
 from flagein.solver import (
+    Branch,
     build_system,
     canonical_vector,
     classify,
     kaehler_einstein_solution,
     newton_oracle,
     solution_set_to_dict,
+    solve_branches,
     solve_general_case,
     solve_symmetric_ansatz,
 )
@@ -230,9 +232,90 @@ def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
         return real_saturate(generators, nonvanishing, budget)
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
-    # a budget no other call uses, so no earlier result is reused
-    with pytest.raises(DomainError, match="x3 = x4 is not implied"):
+    with pytest.raises(DomainError, match="does not give the unit ideal"):
         solve_symmetric_ansatz(g2, GroebnerBudget(max_pairs=99_999))
+
+
+def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
+    """An overrun in any branch is logged in its case and in the status."""
+    from flagein import solver
+    from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
+
+    real_saturate = solver.saturate
+
+    def fake_saturate(generators, nonvanishing, budget=None):
+        names = generators[0].vars
+        if names == ("x2", "x3", "x4", "x6"):
+            stats = GroebnerStats(pairs_processed=50, pairs_discarded=7, max_coeff_bits=99, budget_limit="pairs")
+            return GroebnerBasis([], TermOrder("lex", names), "budget_exceeded", stats)
+        return real_saturate(generators, nonvanishing, budget)
+
+    monkeypatch.setattr(solver, "saturate", fake_saturate)
+    result = solve_symmetric_ansatz(g2)
+    assert result.status == "budget_exceeded"
+    assert [c.status for c in result.cases] == ["complete", "complete", "budget_exceeded"]
+    assert result.cases[2].notes.startswith(
+        "exact elimination exceeded its pairs budget after 50 pairs (7 discarded, 99 coefficient bits)"
+    )
+    assert len(result.solutions) == 2
+
+
+@pytest.mark.parametrize(
+    "budget, expected",
+    [
+        (None, GroebnerBudget(250, 2500)),
+        ({"max_pairs": 60}, GroebnerBudget(60, 2500)),
+        (GroebnerBudget(max_pairs=60), GroebnerBudget(60, 1_000_000)),
+    ],
+)
+def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
+    """A dict overrides only its fields of the branch's budget; a
+    GroebnerBudget replaces it."""
+    from flagein import solver
+    from flagein.polyalg.groebner import GroebnerBasis
+
+    seen = []
+
+    def fake_saturate(generators, nonvanishing, budget=None):
+        seen.append(budget)
+        return GroebnerBasis([], TermOrder("lex", generators[0].vars), "budget_exceeded")
+
+    monkeypatch.setattr(solver, "saturate", fake_saturate)
+    assert solve_general_case(g2, budget).status == "budget_exceeded"
+    assert seen == [expected]
+
+
+def test_branch_engine_solves_rational_roots_exactly(g2):
+    """A known rational root is split off and back-substituted exactly."""
+    branch = Branch(
+        "x1 = 1, x2 = 1/3, x3 = 4/3 slice",
+        {"x1": 1, "x2": F(1, 3), "x3": F(4, 3)},
+        {},
+        ((1, 2), (2, 3), (3, 4)),
+        ("x4", "x5", "x6"),
+        eliminate="x6",
+        rational_roots=(F(3),),
+    )
+    result = solve_branches(g2, "slice", (branch,))
+    case = result.cases[0]
+    assert result.status == "complete"
+    assert (case.elimination_degree, case.real_roots, case.positive_roots) == (18, 5, 4)
+    assert case.notes == (
+        "1 rational roots split off; residual factor degree 17; "
+        "4 positive-x6 roots rejected for a nonpositive coordinate"
+    )
+    [ke] = result.solutions
+    assert ke.metric.x == (1, F(1, 3), F(4, 3), F(5, 3), 2, 3)
+    assert ke.metric.is_exact and ke.kaehler and ke.residual == 0
+
+
+def test_branch_engine_rejects_missing_rational_root(g2):
+    branch = Branch(
+        "slice", {"x1": 1, "x2": F(1, 3), "x3": F(4, 3)}, {}, None, ("x4", "x5", "x6"),
+        eliminate="x6", rational_roots=(F(2),),
+    )
+    with pytest.raises(DomainError, match="rational root 2 missing"):
+        solve_branches(g2, "slice", (branch,))
 
 
 def test_general_case_budget_status(g2):
