@@ -327,7 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("symmetric", "general", "full", "oracle"), default="oracle")
     p.add_argument("--starts", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", type=float, default=1e-10)
+    p.add_argument(
+        "--precision",
+        type=float,
+        default=1e-10,
+        help="oracle residual tolerance, used by --mode oracle and full; the exact branches "
+        "always refine roots to 1e-40",
+    )
     p.add_argument("--budget-pairs", type=int, help="Groebner pair limit (default: each branch's own)")
     p.add_argument("--budget-bits", type=int, help="Groebner coefficient-bit limit (default: each branch's own)")
     p.add_argument("--output", help="also write the JSON report to this path")

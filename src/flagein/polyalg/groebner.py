@@ -624,9 +624,7 @@ def saturate(
     result = buchberger(lifted, TermOrder("lex", extended), budget)
     if not result.complete:
         return GroebnerBasis([], order, result.status, result.stats)
-    kept = [
-        g.with_variables(variables).primitive(order)
-        for g in result.generators
-        if all(exp[0] == 0 for exp in g.terms)
-    ]
+    # the kernel's generators are already primitive with a positive lead, and
+    # on t-free generators lex over (t, variables) is lex over variables
+    kept = [g.with_variables(variables) for g in result.generators if all(exp[0] == 0 for exp in g.terms)]
     return GroebnerBasis(kept, order, "complete", result.stats)

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Exponent vectors are integer tuples aligned with an ordered variable list;
-zero coefficients are never stored.  LaurentPoly additionally allows negative
-exponents and exists to express Ricci components symbolically before their
-denominators are cleared.
+zero coefficients are never stored.  MultiPoly and LaurentPoly share one
+sparse core for storage and ring arithmetic.  LaurentPoly additionally allows
+negative exponents and exists to express Ricci components symbolically before
+their denominators are cleared; it adds only division by a single term and
+clearing.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import DomainError, ParseError
 
@@ -53,8 +55,21 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-class MultiPoly:
-    """Polynomial in an ordered variable list, stored as {exponent: coefficient}."""
+def content(values) -> Fraction:
+    """Positive rational c such that the values divided by c are coprime
+    integers; 1 when every value is zero."""
+    num = 0
+    den = 1
+    for v in values:
+        num = gcd(num, abs(v.numerator))
+        den = lcm(den, v.denominator)
+    return Fraction(num, den) if num else Fraction(1)
+
+
+class _SparsePoly:
+    """Sparse {exponent: coefficient} storage and the ring operations shared
+    by MultiPoly and LaurentPoly.  Every operation returns the operand's own
+    type; a number operand acts as a constant."""
 
     __slots__ = ("vars", "terms")
 
@@ -66,31 +81,93 @@ class MultiPoly:
             for exp, coeff in terms.items():
                 if len(exp) != width:
                     raise DomainError("exponent width does not match variable list")
-                if any(e < 0 for e in exp):
-                    raise DomainError("negative exponent in polynomial")
+                self._check_exponent(exp)
                 c = Fraction(coeff)
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
 
-    # construction helpers
+    def _check_exponent(self, exp: Exponent):
+        """Hook for exponent restrictions beyond the width."""
 
     @classmethod
-    def constant(cls, value, variables: tuple[str, ...]) -> "MultiPoly":
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: Fraction(value)})
+    def constant(cls, value, variables: tuple[str, ...]):
+        return cls(variables, {(0,) * len(variables): Fraction(value)})
 
     @classmethod
-    def variable(cls, name: str, variables: tuple[str, ...]) -> "MultiPoly":
+    def variable(cls, name: str, variables: tuple[str, ...]):
         exp = tuple(1 if v == name else 0 for v in variables)
         if sum(exp) != 1:
             raise DomainError(f"variable {name!r} not in {variables}")
         return cls(variables, {exp: Fraction(1)})
 
-    # basic predicates
-
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _coerce(self, other):
+        if not isinstance(other, type(self)):
+            return self.constant(other, self.vars)
+        if self.vars != other.vars:
+            raise DomainError(f"variable mismatch: {self.vars} vs {other.vars}")
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp, Fraction(0)) + c
+            if s:
+                out[exp] = s
+            else:
+                out.pop(exp, None)
+        return type(self)(self.vars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            c = Fraction(other)
+            return type(self)(self.vars, {e: c * v for e, v in self.terms.items()})
+        other = self._coerce(other)
+        out: dict[Exponent, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = _mul_exp(e1, e2)
+                s = out.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return type(self)(self.vars, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.vars == other.vars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.vars, tuple(sorted(self.terms.items()))))
+
+
+class MultiPoly(_SparsePoly):
+    """Polynomial in an ordered variable list, stored as {exponent: coefficient}."""
+
+    __slots__ = ()
+
+    def _check_exponent(self, exp: Exponent):
+        if any(e < 0 for e in exp):
+            raise DomainError("negative exponent in polynomial")
+
+    # basic predicates
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -114,58 +191,6 @@ class MultiPoly:
                     used[i] = True
         return tuple(v for v, u in zip(self.vars, used) if u)
 
-    # arithmetic
-
-    def _check(self, other: "MultiPoly"):
-        if self.vars != other.vars:
-            raise DomainError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.vars)
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return MultiPoly(self.vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.vars)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MultiPoly(self.vars)
-            return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-        self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mul_exp(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.vars, out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative power of a polynomial")
@@ -178,12 +203,6 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         return f"MultiPoly({format_polynomial(self)})"
 
@@ -191,14 +210,7 @@ class MultiPoly:
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return content(self.terms.values())
 
     def primitive(self, order: TermOrder | None = None) -> "MultiPoly":
         """Integer-primitive form with positive leading coefficient under *order*
@@ -297,74 +309,11 @@ class MultiPoly:
         return coeffs
 
 
-class LaurentPoly:
+class LaurentPoly(_SparsePoly):
     """Polynomial with integer (possibly negative) exponents; denominators are
     always monomials, which is exactly what Ricci components need."""
 
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, variables: tuple[str, ...], terms: dict[Exponent, Fraction] | None = None):
-        self.vars = tuple(variables)
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[tuple(exp)] = c
-        self.terms = clean
-
-    @classmethod
-    def variable(cls, name: str, variables: tuple[str, ...]) -> "LaurentPoly":
-        exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exp: Fraction(1)})
-
-    @classmethod
-    def constant(cls, value, variables: tuple[str, ...]) -> "LaurentPoly":
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            if other.vars != self.vars:
-                raise DomainError("variable mismatch")
-            return other
-        return LaurentPoly.constant(other, self.vars)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return LaurentPoly(self.vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mul_exp(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.vars, out)
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -376,19 +325,6 @@ class LaurentPoly:
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def cleared(self) -> tuple[MultiPoly, Exponent]:
         """Multiply by the minimal monomial making all exponents nonnegative.

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from ..errors import DomainError
-from .poly import MultiPoly
+from .poly import MultiPoly, content
 
 Coeffs = list[Fraction]  # dense, ascending
 
@@ -52,14 +51,7 @@ def divide(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
 
 def _primitive_signed(c: Coeffs) -> Coeffs:
     """Divide by the positive content; sign is preserved (Sturm needs it)."""
-    num = 0
-    den = 1
-    for v in c:
-        num = gcd(num, abs(v.numerator))
-        den = den * v.denominator // gcd(den, v.denominator)
-    if num == 0:
-        return c
-    factor = Fraction(num, den)
+    factor = content(c)
     return [v / factor for v in c]
 
 
@@ -135,13 +127,12 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def _as_coeffs(p: MultiPoly | Coeffs, var: str | None) -> Coeffs:
+def _as_coeffs(p: MultiPoly | Coeffs) -> Coeffs:
     if isinstance(p, MultiPoly):
         names = p.support_vars()
         if len(names) > 1:
             raise DomainError("polynomial is not univariate")
-        name = var or (names[0] if names else p.vars[0])
-        return p.univariate_in(name)
+        return p.univariate_in(names[0] if names else p.vars[0])
     return [Fraction(v) for v in p]
 
 
@@ -152,7 +143,6 @@ def root_count(chain: list[Coeffs], lo, hi) -> int:
 def sturm_isolate(
     poly: MultiPoly | Coeffs,
     rng: tuple[Fraction | None, Fraction | None] | None = None,
-    var: str | None = None,
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals for all real roots in the open range *rng*.
 
@@ -160,7 +150,7 @@ def sturm_isolate(
     bisection point come back as zero-width intervals.  rng bounds of None
     mean unbounded on that side.
     """
-    coeffs = _strip(_as_coeffs(poly, var))
+    coeffs = _strip(_as_coeffs(poly))
     if not coeffs:
         raise DomainError("zero polynomial")
     if len(coeffs) == 1:

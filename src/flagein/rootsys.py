@@ -238,30 +238,13 @@ def killing_form(spec: RootSystemSpec) -> KillingForm:
     return KillingForm(gram=gram, scale=scale)
 
 
-def weyl_reflect(value: Root | Weight, mirror: Root, form: KillingForm, spec: RootSystemSpec | None = None):
-    """Reflect a root or weight in the hyperplane orthogonal to *mirror*."""
-    if not any(mirror.coeffs):
-        raise DomainError("mirror must be a nonzero root")
-    if isinstance(value, Root):
-        factor = 2 * form.pair_roots(value, mirror) / form.length_sq(mirror)
-        if factor.denominator != 1:
-            raise DomainError("mirror is not a root of the same system")
-        k = int(factor)
-        return Root(tuple(c - k * m for c, m in zip(value.coeffs, mirror.coeffs)))
-    if spec is None:
-        raise DomainError("reflecting a weight requires the root system spec")
-    pairing = pair_weight_root(value, mirror, form)
-    factor = 2 * pairing / form.length_sq(mirror)
-    mirror_in_weights = _root_in_weight_basis(spec, mirror)
-    return Weight(tuple(w - factor * m for w, m in zip(value.coords, mirror_in_weights)))
-
-
-def _root_in_weight_basis(spec: RootSystemSpec, root: Root) -> tuple[Fraction, ...]:
-    # alpha_j = sum_i A[i][j] Lambda_i
-    return tuple(
-        Fraction(sum(spec.cartan_matrix[i][j] * c for j, c in enumerate(root.coeffs)))
-        for i in range(spec.rank)
-    )
+def weyl_reflect(value: Root, mirror: Root, form: KillingForm) -> Root:
+    """Reflect a root in the hyperplane orthogonal to *mirror*."""
+    factor = 2 * form.pair_roots(value, mirror) / form.length_sq(mirror)
+    if factor.denominator != 1:
+        raise DomainError("mirror is not a root of the same system")
+    k = int(factor)
+    return Root(tuple(c - k * m for c, m in zip(value.coeffs, mirror.coeffs)))
 
 
 def delta_weight(spec: RootSystemSpec) -> Weight:

@@ -43,7 +43,6 @@ class EinsteinSystem:
     polynomials: tuple[MultiPoly, ...]
     assignments: dict[str, Fraction]
     identifications: dict[str, str]
-    nonvanishing: tuple[MultiPoly, ...]
     pairs: tuple[tuple[int, int], ...]
     clearings: tuple[tuple[Exponent, Fraction], ...]
     all_variables: tuple[str, ...]
@@ -67,7 +66,6 @@ class CaseRecord:
     """One branch of the case analysis, for the run log."""
 
     name: str
-    assignments: dict[str, str]
     saturations: list[str]
     elimination_degree: int | None = None
     real_roots: int | None = None
@@ -172,14 +170,12 @@ def build_system(
         # poly == (r_i - r_j) * x^(shift - gcd_exp) / content
         clearings.append((tuple(a - b for a, b in zip(shift, gcd_exp)), content))
         kept_pairs.append((i, j))
-    nonvanishing = tuple(MultiPoly.variable(v, free) for v in free)
     return EinsteinSystem(
         group=spec.type_label,
         variables=free,
         polynomials=tuple(polys),
         assignments=assignments,
         identifications=identifications,
-        nonvanishing=nonvanishing,
         pairs=tuple(kept_pairs),
         clearings=tuple(clearings),
         all_variables=names,
@@ -319,6 +315,9 @@ class Branch:
     budget: GroebnerBudget = GroebnerBudget()
 
 
+# width below which the exact branches refine each isolated root
+_REFINE_PRECISION = Fraction(1, 10**40)
+
 _ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
 G2_SYMMETRIC_ANSATZ = (
     Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, ("x3", "x2"), eliminate="x2"),
@@ -347,7 +346,6 @@ def solve_branches(
     normalization: str,
     branches: tuple[Branch, ...],
     budget: GroebnerBudget | dict[str, int] | None = None,
-    precision: Fraction = Fraction(1, 10**40),
 ) -> SolutionSet:
     """Run each branch of a G2 case analysis and collect its case log.
 
@@ -361,7 +359,7 @@ def solve_branches(
     overrides = asdict(budget) if isinstance(budget, GroebnerBudget) else dict(budget or {})
     result = SolutionSet(group=spec.type_label, normalization=normalization)
     for branch in branches:
-        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **overrides), precision)
+        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **overrides))
         result.cases.append(record)
         result.solutions.extend(solutions)
         if record.status != "complete":
@@ -373,7 +371,6 @@ def _solve_branch(
     spec: RootSystemSpec,
     branch: Branch,
     budget: GroebnerBudget,
-    precision: Fraction,
 ) -> tuple[CaseRecord, list[EinsteinSolution]]:
     system = build_system(spec, branch.normalization, branch.equalities, branch.pairs)
     order = branch.order
@@ -382,7 +379,6 @@ def _solve_branch(
     basis = saturate([p.with_variables(order) for p in system.polynomials], constraints, budget)
     record = CaseRecord(
         name=branch.name,
-        assignments={**{k: str(v) for k, v in branch.normalization.items()}, **branch.equalities},
         saturations=[*order, *branch.factors],
         status=basis.status,
     )
@@ -416,7 +412,7 @@ def _solve_branch(
     record.positive_roots = len(positive)
 
     # an exact root is the zero-width enclosure of itself
-    enclosures = [(iv.lo, iv.hi) for iv in (refine_root(iv, precision) for iv in positive)]
+    enclosures = [(iv.lo, iv.hi) for iv in (refine_root(iv, _REFINE_PRECISION) for iv in positive)]
     enclosures += [(root, root) for root in branch.rational_roots]
     solutions: list[EinsteinSolution] = []
     rejected = 0
@@ -449,7 +445,6 @@ def _solve_branch(
 def solve_symmetric_ansatz(
     spec: RootSystemSpec,
     budget: GroebnerBudget | dict[str, int] | None = None,
-    precision: Fraction = Fraction(1, 10**40),
 ) -> SolutionSet:
     """The x1 = x5 = 1, x4 = x3 branch of the G2 case analysis.
 
@@ -461,13 +456,12 @@ def solve_symmetric_ansatz(
     the unit ideal, so no solution there with non-zero coordinates has
     x3 != x4.
     """
-    return solve_branches(spec, "x1 = x5 = 1, x4 = x3", G2_SYMMETRIC_ANSATZ, budget, precision)
+    return solve_branches(spec, "x1 = x5 = 1, x4 = x3", G2_SYMMETRIC_ANSATZ, budget)
 
 
 def solve_general_case(
     spec: RootSystemSpec,
     budget: GroebnerBudget | dict[str, int] | None = None,
-    precision: Fraction = Fraction(1, 10**40),
 ) -> SolutionSet:
     """The x1 = 1 branch with x1, x5, x6 pairwise distinct.
 
@@ -475,7 +469,7 @@ def solve_general_case(
     runs out the result carries status 'budget_exceeded' and classification
     falls back to the numeric oracle for this region.
     """
-    return solve_branches(spec, "x1 = 1", G2_GENERAL_CASE, budget, precision)
+    return solve_branches(spec, "x1 = 1", G2_GENERAL_CASE, budget)
 
 
 # Newton outcome of one start; all but the first are rejection reasons
@@ -684,7 +678,6 @@ def newton_oracle(
     result.cases.append(
         CaseRecord(
             name="newton oracle",
-            assignments={k: str(v) for k, v in system.assignments.items()},
             saturations=[],
             status="complete",
             notes=(

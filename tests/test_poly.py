@@ -175,3 +175,26 @@ def test_laurent_matches_fraction_arithmetic():
     u = LaurentPoly.variable("u", names)
     expr = (F(3) / u - u) * u
     assert expr == LaurentPoly(names, {(0,): F(3), (2,): F(-1)})
+
+
+def test_laurent_rejects_unknown_variable_and_wrong_width():
+    with pytest.raises(DomainError):
+        LaurentPoly.variable("z", ("x", "y"))
+    with pytest.raises(DomainError):
+        LaurentPoly(("x", "y"), {(1,): 1})
+
+
+def test_number_operands_keep_the_polynomial_type():
+    u = LaurentPoly.variable("u", ("u",))
+    quotient = F(1, 2) / u
+    assert type(quotient) is LaurentPoly
+    assert quotient == LaurentPoly(("u",), {(-1,): F(1, 2)})
+    doubled = 2 * parse_polynomial("x + y", VARS)
+    assert type(doubled) is MultiPoly
+    assert doubled == parse_polynomial("2*x + 2*y", VARS)
+
+
+def test_multipoly_and_laurent_with_equal_terms_differ():
+    terms = {(1, 0): F(1), (0, 2): F(-3)}
+    assert MultiPoly(VARS, terms) != LaurentPoly(VARS, terms)
+    assert LaurentPoly(VARS, terms) != MultiPoly(VARS, terms)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual
+from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual, ricci
 from flagein.errors import DomainError
 from flagein.isotropy import triple_tensor
 from flagein.polyalg.groebner import GroebnerBudget, reduce_poly
@@ -91,6 +91,25 @@ def test_cleared_polynomials_reexpand(g2):
         lhs = LaurentPoly(free, {tuple(e): c for e, c in poly.terms.items()})
         monomial = LaurentPoly(free, {shift: F(1)})
         assert (values[i] - values[j]) * monomial == lhs * content
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (4, 5)])
+def test_other_long_coincidences_are_weyl_images_of_x1_eq_x5(g2, pair):
+    """x1 = x6 and x5 = x6 need no branch of their own: a Weyl permutation
+    carries each of these hyperplanes onto x1 = x5, and the Ricci map
+    commutes with it, so their Einstein metrics are isometric to metrics
+    with x1 = x5."""
+    # the image apply_permutation(sigma, x) has x[sigma[0]] and x[sigma[4]] in slots 0 and 4
+    carriers = [s for s in weyl_orbit_permutations(g2) if {s[0], s[4]} == set(pair)]
+    assert len(carriers) == 2
+    triples = triple_tensor(g2)
+    x = [F(2), F(3), F(5), F(7), F(11), F(13)]
+    x[pair[1]] = x[pair[0]]
+    r = ricci(InvariantMetric.exact(x), triples).r
+    for sigma in carriers:
+        image = apply_permutation(sigma, tuple(x))
+        assert image[0] == image[4] != image[5]
+        assert ricci(InvariantMetric.exact(image), triples).r == apply_permutation(sigma, r)
 
 
 def test_build_system_validation(g2):
