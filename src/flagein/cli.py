@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .curvature import InvariantMetric, einstein_residual, kaehler_einstein_metric, ricci
@@ -28,6 +29,7 @@ from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
     build_system,
     classify_full,
+    json_scalar,
     newton_oracle,
     solution_set_to_dict,
     solve_general_case,
@@ -50,10 +52,14 @@ def _env_int(name: str, fallback: int | None) -> int | None:
         raise ConfigurationError(f"environment variable {name} must be an integer") from None
 
 
-def _scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return format(float(v), ".15g")
+def _budget_overrides(args) -> dict[str, int]:
+    """GroebnerBudget fields set by a flag or an environment variable; the
+    environment variable wins."""
+    limits = {
+        "max_pairs": _env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
+        "max_coeff_bits": _env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
+    }
+    return {name: value for name, value in limits.items() if value is not None}
 
 
 def _table_number(v) -> str:
@@ -72,19 +78,17 @@ def _parse_metric(text: str, size: int) -> InvariantMetric:
     if len(parts) != size:
         raise ConfigurationError(f"metric needs {size} entries, got {len(parts)}")
     values = []
-    exact = True
     for p in parts:
         try:
             if "/" in p or p.lstrip("+-").isdigit():
                 values.append(Fraction(p))
             else:
                 values.append(float(p))
-                exact = False
         except (ValueError, ZeroDivisionError):
             raise ConfigurationError(f"bad metric entry {p!r}") from None
     if any((v <= 0) for v in values):
         raise DomainError("metric entries must be positive")
-    return InvariantMetric(tuple(values) if not exact else tuple(Fraction(v) for v in values))
+    return InvariantMetric(tuple(values))
 
 
 def cmd_roots(args, out) -> int:
@@ -98,10 +102,10 @@ def cmd_roots(args, out) -> int:
                 "group": spec.type_label,
                 "rank": spec.rank,
                 "positiveRoots": [list(r.coeffs) for r in pos],
-                "lengthsSquared": [_scalar(form.length_sq(r)) for r in pos],
+                "lengthsSquared": [json_scalar(form.length_sq(r)) for r in pos],
                 "longIndices": [i + 1 for i in long_idx],
                 "shortIndices": [i + 1 for i in short_idx],
-                "gram": [[_scalar(v) for v in row] for row in form.gram],
+                "gram": [[json_scalar(v) for v in row] for row in form.gram],
             },
             out,
         )
@@ -135,7 +139,6 @@ def cmd_ricci(args, out) -> int:
     spec = root_system(args.group)
     size = len(positive_roots(spec))
     metric = _parse_metric(args.metric, size)
-    metric.require_positive()
     tensor = triple_tensor(spec)
     components = ricci(metric, tensor)
     k, residual = einstein_residual(metric, tensor)
@@ -143,11 +146,11 @@ def cmd_ricci(args, out) -> int:
         emit_json(
             {
                 "group": spec.type_label,
-                "metric": [_scalar(v) for v in metric.x],
-                "ricci": [_scalar(v) for v in components.r],
-                "scalarCurvature": _scalar(components.scalar_curvature),
-                "k": _scalar(k),
-                "residual": _scalar(residual),
+                "metric": [json_scalar(v) for v in metric.x],
+                "ricci": [json_scalar(v) for v in components.r],
+                "scalarCurvature": json_scalar(components.scalar_curvature),
+                "k": json_scalar(k),
+                "residual": json_scalar(residual),
             },
             out,
         )
@@ -171,9 +174,9 @@ def cmd_kaehler(args, out) -> int:
         emit_json(
             {
                 "group": spec.type_label,
-                "metric": [_scalar(v) for v in metric.x],
-                "k": _scalar(k),
-                "residual": _scalar(residual),
+                "metric": [json_scalar(v) for v in metric.x],
+                "k": json_scalar(k),
+                "residual": json_scalar(residual),
             },
             out,
         )
@@ -190,11 +193,7 @@ def cmd_einstein(args, out) -> int:
     if args.starts < 1:
         raise ConfigurationError("starts must be >= 1")
     # a given flag or environment variable overrides that field of each branch's budget
-    limits = {
-        "max_pairs": _env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
-        "max_coeff_bits": _env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
-    }
-    budget = {name: value for name, value in limits.items() if value is not None}
+    budget = _budget_overrides(args)
     spec = root_system(args.group)
     if args.mode == "symmetric":
         result = solve_symmetric_ansatz(spec, budget)
@@ -244,11 +243,7 @@ def cmd_groebner(args, out) -> int:
     if not polys:
         raise ConfigurationError("empty polynomial file")
     order = TermOrder(args.order, polys[0].vars)
-    budget = GroebnerBudget(
-        max_pairs=_env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
-        max_coeff_bits=_env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
-    )
-    basis = buchberger(polys, order, budget)
+    basis = buchberger(polys, order, replace(GroebnerBudget(), **_budget_overrides(args)))
     isolation = None
     if basis.complete and args.isolate:
         target = None
@@ -331,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=float,
         default=1e-10,
-        help="oracle residual tolerance, used by --mode oracle and full; the exact branches "
-        "always refine roots to 1e-40",
+        help="oracle residual tolerance and positivity cutoff, used by --mode oracle and full: a "
+        "convergent point with a coordinate <= it is rejected; the exact branches always refine "
+        "roots to 1e-40",
     )
     p.add_argument("--budget-pairs", type=int, help="Groebner pair limit (default: each branch's own)")
     p.add_argument("--budget-bits", type=int, help="Groebner coefficient-bit limit (default: each branch's own)")
@@ -345,8 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("lex", "grevlex"), default="lex")
     p.add_argument("--vars", help="comma-separated variable priority (highest first)")
     p.add_argument("--isolate", help="isolate positive real roots of the univariate generator")
-    p.add_argument("--budget-pairs", type=int, default=100_000)
-    p.add_argument("--budget-bits", type=int, default=1_000_000)
+    p.add_argument("--budget-pairs", type=int, help=f"Groebner pair limit (default: {GroebnerBudget.max_pairs})")
+    p.add_argument(
+        "--budget-bits", type=int, help=f"Groebner coefficient-bit limit (default: {GroebnerBudget.max_coeff_bits})"
+    )
     add_format(p)
     p.set_defaults(func=cmd_groebner)
 
@@ -364,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except FlageinError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

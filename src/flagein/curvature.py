@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import DomainError
 from .isotropy import TripleTensor, triple_tensor
-from .polyalg.poly import LaurentPoly
+from .polyalg.poly import LaurentPoly, content
 from .rootsys import (
     RootSystemSpec,
     delta_weight,
@@ -134,14 +133,8 @@ def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
     form = killing_form(spec)
     delta = delta_weight(spec)
     raw = [2 * pair_weight_root(delta, alpha, form) for alpha in positive_roots(spec)]
-    denominator_lcm = 1
-    for v in raw:
-        denominator_lcm = denominator_lcm * v.denominator // gcd(denominator_lcm, v.denominator)
-    ints = [v * denominator_lcm for v in raw]
-    shared = 0
-    for v in ints:
-        shared = gcd(shared, v.numerator)
-    return InvariantMetric.exact([v / shared for v in ints])
+    shared = content(raw)
+    return InvariantMetric.exact([v / shared for v in raw])
 
 
 def is_kaehler(

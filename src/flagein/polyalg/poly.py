@@ -212,18 +212,6 @@ class MultiPoly(_SparsePoly):
         """Positive rational c such that self/c has coprime integer coefficients."""
         return content(self.terms.values())
 
-    def primitive(self, order: TermOrder | None = None) -> "MultiPoly":
-        """Integer-primitive form with positive leading coefficient under *order*
-        (grevlex over own variables when omitted)."""
-        if not self.terms:
-            return self
-        c = self.content()
-        order = order or TermOrder("grevlex", self.vars)
-        _, lead = order.leading(self)
-        if lead < 0:
-            c = -c
-        return MultiPoly(self.vars, {e: v / c for e, v in self.terms.items()})
-
     def monomial_gcd(self) -> Exponent:
         it = iter(self.terms)
         acc = list(next(it, (0,) * len(self.vars)))
@@ -271,20 +259,6 @@ class MultiPoly(_SparsePoly):
                     term = term * MultiPoly.variable(v, self.vars) ** e
             result = result + term
         return result
-
-    def evaluate(self, point: dict[str, Fraction | float]):
-        """Exact or floating evaluation; mode follows the point values."""
-        total = None
-        for exp, coeff in self.terms.items():
-            value = coeff
-            for v, e in zip(self.vars, exp):
-                if e:
-                    value = value * point[v] ** e
-            total = value if total is None else total + value
-        if total is None:
-            sample = next(iter(point.values()), Fraction(0))
-            return 0.0 if isinstance(sample, float) else Fraction(0)
-        return total
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.vars.index(name)

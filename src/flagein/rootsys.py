@@ -185,7 +185,6 @@ class KillingForm:
     """Bilinear form Q on the simple-root basis, Killing-normalized."""
 
     gram: tuple[tuple[Fraction, ...], ...]
-    scale: Fraction
 
     def pair_roots(self, a: Root, b: Root) -> Fraction:
         total = Fraction(0)
@@ -235,7 +234,7 @@ def killing_form(spec: RootSystemSpec) -> KillingForm:
     total = sum(pair0(alpha, beta) ** 2 for beta in all_roots(spec))
     scale = pair0(alpha, alpha) / total
     gram = tuple(tuple(scale * v for v in row) for row in gram0)
-    return KillingForm(gram=gram, scale=scale)
+    return KillingForm(gram=gram)
 
 
 def weyl_reflect(value: Root, mirror: Root, form: KillingForm) -> Root:

@@ -49,16 +49,8 @@ class EinsteinSystem:
 
     def metric_values(self, point: dict[str, Fraction | float]) -> tuple:
         """Rebuild the full per-root vector from free-variable values."""
-        out = []
-        for v in self.all_variables:
-            if v in self.assignments:
-                out.append(self.assignments[v])
-            elif v in self.identifications:
-                target = self.identifications[v]
-                out.append(point[target] if target in point else self.assignments[target])
-            else:
-                out.append(point[v])
-        return tuple(out)
+        resolved = (self.identifications.get(v, v) for v in self.all_variables)
+        return tuple(self.assignments[t] if t in self.assignments else point[t] for t in resolved)
 
 
 @dataclass
@@ -105,8 +97,6 @@ def build_system(
         value = Fraction(value)
         if value <= 0:
             raise DomainError("metric normalization must be positive")
-        if key in assignments and assignments[key] != value:
-            raise DomainError(f"inconsistent normalization for {key}")
         assignments[key] = value
     identifications: dict[str, str] = {}
     for key, target in (equalities or {}).items():
@@ -130,17 +120,11 @@ def build_system(
 
     free = tuple(v for v in names if v not in assignments and v not in identifications)
     atoms: list[LaurentPoly | Fraction] = []
-    for v in names:
-        if v in assignments:
-            atoms.append(LaurentPoly.constant(assignments[v], free) if free else assignments[v])
-        elif v in identifications:
-            target = identifications[v]
-            if target in assignments:
-                atoms.append(LaurentPoly.constant(assignments[target], free) if free else assignments[target])
-            else:
-                atoms.append(LaurentPoly.variable(target, free))
+    for target in (identifications.get(v, v) for v in names):
+        if target in assignments:
+            atoms.append(LaurentPoly.constant(assignments[target], free) if free else assignments[target])
         else:
-            atoms.append(LaurentPoly.variable(v, free))
+            atoms.append(LaurentPoly.variable(target, free))
 
     from .curvature import _ricci_values
 
@@ -214,15 +198,11 @@ def _linear_solve_on_interval(
     return min(candidates), max(candidates)
 
 
-def _canonical_scaled(values: tuple) -> tuple:
-    top = max(values)
-    return tuple(v / top for v in values)
-
-
 def canonical_vector(spec: RootSystemSpec, values: tuple) -> tuple:
     """Scale so the largest entry is 1, then take the lexicographically smallest
     vector over the Weyl-induced permutations."""
-    scaled = _canonical_scaled(values)
+    top = max(values)
+    scaled = tuple(v / top for v in values)
     return min(apply_permutation(sigma, scaled) for sigma in weyl_orbit_permutations(spec))
 
 
@@ -230,44 +210,39 @@ def _class_id(canonical: tuple) -> str:
     return ",".join(format(float(v), ".9g") for v in canonical)
 
 
-def _close(a: tuple, b: tuple, tol: float) -> bool:
-    return all(abs(float(p) - float(q)) <= tol * max(1.0, abs(float(q))) for p, q in zip(a, b))
+# relative tolerance under which two canonical vectors are one isometry class
+_CLASS_TOL = 1e-6
 
 
-def classify(
-    solutions: list[EinsteinSolution],
-    spec: RootSystemSpec,
-    tol: float = 1e-6,
-) -> SolutionSet:
-    """Merge solutions into isometry classes (scale + Weyl orbit); one
-    representative per class, exact representatives preferred."""
-    classes: list[tuple[tuple, EinsteinSolution]] = []
-    for sol in solutions:
-        canon = canonical_vector(spec, sol.metric.x)
-        canon_f = tuple(float(v) for v in canon)
-        for idx, (existing, rep) in enumerate(classes):
-            if _close(canon_f, existing, tol):
-                if sol.metric.is_exact and not rep.metric.is_exact:
-                    classes[idx] = (existing, _with_class(sol, _class_id(existing), spec))
+def _group(canons: list[tuple[float, ...]]) -> list[list[int]]:
+    """Indices of *canons* grouped into classes in first-seen order; a vector
+    joins the first class whose first member agrees with it to _CLASS_TOL."""
+    groups: list[list[int]] = []
+    for i, canon in enumerate(canons):
+        for group in groups:
+            first = canons[group[0]]
+            if all(abs(p - q) <= _CLASS_TOL * max(1.0, abs(q)) for p, q in zip(canon, first)):
+                group.append(i)
                 break
         else:
-            classes.append((canon_f, _with_class(sol, _class_id(canon_f), spec)))
-    ordered = sorted(classes, key=lambda item: item[0])
+            groups.append([i])
+    return groups
+
+
+def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> SolutionSet:
+    """Merge solutions into isometry classes (scale + Weyl orbit); one
+    representative per class, exact representatives preferred, under the
+    class id of the class's first member."""
+    canons = [tuple(float(v) for v in canonical_vector(spec, sol.metric.x)) for sol in solutions]
+    classes: list[tuple[tuple, EinsteinSolution]] = []
+    for group in _group(canons):
+        members = [solutions[i] for i in group]
+        rep = next((sol for sol in members if sol.metric.is_exact), members[0])
+        first = canons[group[0]]
+        classes.append((first, replace(rep, isometry_class=_class_id(first))))
     result = SolutionSet(group=spec.type_label, normalization="per-solution gauge")
-    result.solutions = [rep for _, rep in ordered]
+    result.solutions = [rep for _, rep in sorted(classes, key=lambda item: item[0])]
     return result
-
-
-def _with_class(sol: EinsteinSolution, class_id: str, spec: RootSystemSpec) -> EinsteinSolution:
-    kaehler, _ = is_kaehler(sol.metric, spec)
-    return EinsteinSolution(
-        metric=sol.metric,
-        k=sol.k,
-        kaehler=kaehler,
-        isometry_class=class_id,
-        provenance=sol.provenance,
-        residual=sol.residual,
-    )
 
 
 def _solution_from_metric(spec: RootSystemSpec, metric: InvariantMetric, provenance: str) -> EinsteinSolution:
@@ -652,36 +627,30 @@ def newton_oracle(
                 found.append(tuple(float(v) for v in row))
 
     triples = triple_tensor(spec)
-    accepted: list[EinsteinSolution] = []
-    reps: list[tuple] = []
-    hits: list[int] = []  # points per class, in class order
+    metrics: list[InvariantMetric] = []
+    canons: list[tuple[float, ...]] = []
     spurious = 0
     for point in sorted(found):
-        values = system.metric_values(dict(zip(system.variables, point)))
-        metric = InvariantMetric.floating(values)
+        metric = InvariantMetric.floating(system.metric_values(dict(zip(system.variables, point))))
         _, residual = einstein_residual(metric, triples)
         if float(residual) >= tol:
             spurious += 1
             continue
-        canon = tuple(float(v) for v in canonical_vector(spec, metric.x))
-        match = next((k for k, rep in enumerate(reps) if _close(canon, rep, 1e-6)), None)
-        if match is not None:
-            hits[match] += 1
-            continue
-        reps.append(canon)
-        hits.append(1)
-        accepted.append(_solution_from_metric(spec, metric, "numeric"))
-    result.solutions = accepted
+        metrics.append(metric)
+        canons.append(tuple(float(v) for v in canonical_vector(spec, metric.x)))
+    groups = _group(canons)
+    # each class is represented by its first point
+    result.solutions = [_solution_from_metric(spec, metrics[group[0]], "numeric") for group in groups]
     reasons = [f"{outcomes[code]} {_OUTCOMES[code]}" for code in range(1, len(_OUTCOMES))]
     reasons.append(f"{spurious} residual >= tol")
-    basins = " / ".join(str(h) for h in hits) or "none"
+    basins = " / ".join(str(len(group)) for group in groups) or "none"
     result.cases.append(
         CaseRecord(
             name="newton oracle",
             saturations=[],
             status="complete",
             notes=(
-                f"{starts} starts, seed {seed}, {len(found)} convergent, {len(accepted)} classes; "
+                f"{starts} starts, seed {seed}, {len(found)} convergent, {len(groups)} classes; "
                 f"rejected: {', '.join(reasons)}; basin hits per class: {basins}"
             ),
         )
@@ -727,15 +696,15 @@ def classify_full(
     return combined
 
 
+def json_scalar(v) -> str:
+    """An exact rational as a 'p/q' string, a float at 15 significant digits."""
+    if isinstance(v, Fraction):
+        return str(v)
+    return format(float(v), ".15g")
+
+
 def solution_set_to_dict(result: SolutionSet) -> dict:
-    """JSON-ready dictionary; exact rationals as 'p/q' strings, floats at 15
-    significant digits."""
-
-    def scalar(v):
-        if isinstance(v, Fraction):
-            return str(v)
-        return format(float(v), ".15g")
-
+    """JSON-ready dictionary, scalars through ``json_scalar``."""
     return {
         "group": result.group,
         "normalization": result.normalization,
@@ -753,12 +722,12 @@ def solution_set_to_dict(result: SolutionSet) -> dict:
         ],
         "solutions": [
             {
-                "x": [scalar(v) for v in s.metric.x],
-                "k": scalar(s.k),
+                "x": [json_scalar(v) for v in s.metric.x],
+                "k": json_scalar(s.k),
                 "kaehler": s.kaehler,
                 "class": s.isometry_class,
                 "provenance": s.provenance,
-                "residual": scalar(s.residual),
+                "residual": json_scalar(s.residual),
             }
             for s in result.solutions
         ],

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,9 @@ from flagein.polyalg.groebner import saturate
 from flagein.polyalg.poly import MultiPoly, format_polynomial
 from flagein.solver import build_system
 from flagein.rootsys import root_system
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -107,6 +111,7 @@ def test_einstein_symmetric(capsys):
     assert abs(ks[0] - 0.3560) < 1e-4
     assert abs(ks[1] - 0.4269) < 1e-4
     assert all(s["kaehler"] is False for s in payload["solutions"])
+    assert out == (DATA / "g2_symmetric_report.json").read_text()
 
 
 def test_einstein_general_budget_exit(capsys):
@@ -153,6 +158,7 @@ def test_einstein_full_classification(capsys):
     assert [c["status"] for c in payload["cases"]] == ["complete"] * 3 + ["budget_exceeded", "complete"]
     assert len(payload["solutions"]) == 3
     assert sum(1 for s in payload["solutions"] if s["kaehler"]) == 1
+    assert out == (DATA / "g2_full_2000_seed1_report.json").read_text()
 
 
 def test_einstein_oracle_a1(capsys):

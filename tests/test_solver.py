@@ -139,6 +139,10 @@ def test_metric_values_reconstruction(g2):
     )
     values = system.metric_values({"x2": F(1, 2), "x3": F(2), "x6": F(3)})
     assert values == (F(1), F(1, 2), F(2), F(2), F(1), F(3))
+    # an identification whose target is assigned takes the assigned value
+    system = build_system(g2, normalization={"x1": 1}, equalities={"x4": "x1"})
+    values = system.metric_values({"x2": F(2), "x3": F(3), "x5": F(5), "x6": F(6)})
+    assert values == (F(1), F(2), F(3), F(1), F(5), F(6))
 
 
 def test_symmetric_ansatz_case_log(ansatz_result):
@@ -453,6 +457,24 @@ def test_classify_merges_weyl_copies(g2):
     merged = classify(copies, g2)
     assert len(merged.solutions) == 1
     assert merged.solutions[0].kaehler
+
+
+def test_classify_prefers_an_exact_member_under_the_first_members_id(g2):
+    ke = kaehler_einstein_solution(g2)
+    # 3e-8 relative moves the 9-digit class id but not the 1e-6 class
+    nudged = InvariantMetric.floating((float(ke.metric.x[0]) * (1 + 3e-8),) + ke.metric.x[1:])
+    k, residual = einstein_residual(nudged, triple_tensor(g2))
+    copy = ke.__class__(
+        metric=nudged, k=k, kaehler=True, isometry_class="", provenance="numeric", residual=residual,
+    )
+    copy_id = classify([copy], g2).solutions[0].isometry_class
+    assert copy_id != ke.isometry_class
+    merged = classify([copy, ke], g2)
+    assert len(merged.solutions) == 1
+    rep = merged.solutions[0]
+    assert rep.metric == ke.metric
+    assert rep.provenance == "algebraic"
+    assert rep.isometry_class == copy_id
 
 
 def test_classify_keeps_distinct_classes(g2, ansatz_result):
