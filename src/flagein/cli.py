@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -80,12 +81,13 @@ def _parse_metric(text: str, size: int) -> InvariantMetric:
     values = []
     for p in parts:
         try:
-            if "/" in p or p.lstrip("+-").isdigit():
-                values.append(Fraction(p))
-            else:
-                values.append(float(p))
+            v = Fraction(p) if "/" in p or p.lstrip("+-").isdigit() else float(p)
         except (ValueError, ZeroDivisionError):
-            raise ConfigurationError(f"bad metric entry {p!r}") from None
+            v = math.nan
+        # unparsable text, inf, nan and float overflow are all bad entries
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigurationError(f"bad metric entry {p!r}")
+        values.append(v)
     if any((v <= 0) for v in values):
         raise DomainError("metric entries must be positive")
     return InvariantMetric(tuple(values))

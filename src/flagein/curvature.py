@@ -21,14 +21,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .isotropy import TripleTensor, triple_tensor
 from .polyalg.poly import LaurentPoly, content
-from .rootsys import (
-    RootSystemSpec,
-    delta_weight,
-    killing_form,
-    pair_weight_root,
-    positive_roots,
-    weyl_orbit_permutations,
-)
+from .rootsys import Root, RootSystemSpec, killing_form, positive_roots, weyl_orbit_permutations
 
 Scalar = Fraction | float
 
@@ -129,10 +122,12 @@ def einstein_residual(metric: InvariantMetric, triples: TripleTensor) -> tuple[S
 
 @lru_cache(maxsize=None)
 def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
-    """The metric with components 2 (delta, alpha), rescaled to coprime integers."""
+    """The metric with components 2 (delta, alpha), rescaled to coprime integers;
+    2 delta is the sum of the positive roots."""
     form = killing_form(spec)
-    delta = delta_weight(spec)
-    raw = [2 * pair_weight_root(delta, alpha, form) for alpha in positive_roots(spec)]
+    pos = positive_roots(spec)
+    two_delta = Root(tuple(map(sum, zip(*(r.coeffs for r in pos)))))
+    raw = [form.pair_roots(two_delta, alpha) for alpha in pos]
     shared = content(raw)
     return InvariantMetric.exact([v / shared for v in raw])
 

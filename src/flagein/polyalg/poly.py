@@ -319,12 +319,16 @@ class LaurentPoly(_SparsePoly):
         return f"LaurentPoly({inner or '0'})"
 
 
-# text format: one polynomial per line, terms like -3*x2^2*x3*x6 + 24*x2*x3^2
+# text format: one polynomial per line, terms like -3*x2^2*x3*x6 + 24*x2*x3^2.
+# A term is a number, number*powers or powers; powers are name or name^digits
+# joined by '*'; every term but the first starts with one '+' or '-'.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)|(?P<var>[a-zA-Z][a-zA-Z0-9]*)"
-    r"|(?P<pow>\^)|(?P<mul>\*))"
+_NUMBER = r"\d+(?:/\d+)?"
+_POWER = r"[a-zA-Z][a-zA-Z0-9]*(?:\s*\^\s*\d+)?"
+_TERM = re.compile(
+    rf"\s*([+-]?)\s*((?:{_NUMBER}\s*\*\s*)?{_POWER}(?:\s*\*\s*{_POWER})*|{_NUMBER})\s*"
 )
+_FACTOR = re.compile(r"(\d+)(?:/(\d+))?|([a-zA-Z][a-zA-Z0-9]*)(?:\s*\^\s*(\d+))?")
 
 
 def _natural_var_key(name: str):
@@ -335,96 +339,52 @@ def _natural_var_key(name: str):
     return (name, -1)
 
 
-def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> MultiPoly:
-    """Parse one polynomial.  With *variables* given, unknown names are errors;
-    otherwise variables are collected and ordered naturally (x2 before x10)."""
-    tokens = []
+def _terms(text: str) -> list[tuple[Fraction, dict[str, int]]]:
+    """The terms of one polynomial as (coefficient, {name: exponent})."""
+    terms = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r} at column {pos + 1}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    # collect terms as (coeff, {var: exp})
-    terms: list[tuple[Fraction, dict[str, int]]] = []
-    sign = 1
-    current: tuple[Fraction, dict[str, int]] | None = None
-    expecting_exponent_for: str | None = None
-
-    def flush():
-        nonlocal current, sign
-        if current is not None:
-            terms.append(current)
-        current = None
-        sign = 1
-
-    i = 0
-    while i < len(tokens):
-        kind, value = tokens[i]
-        if kind == "sign":
-            if expecting_exponent_for is not None:
-                raise ParseError("exponent must be a positive integer")
-            if current is not None:
-                flush()
-            sign = -sign if value == "-" else sign
-        elif kind == "coeff":
-            if expecting_exponent_for is not None:
-                if "/" in value:
-                    raise ParseError("exponent must be an integer")
-                coeff, powers = current
-                powers[expecting_exponent_for] += int(value) - 1
-                expecting_exponent_for = None
-            elif current is None:
-                num, _, den = value.partition("/")
-                current = (sign * Fraction(int(num), int(den) if den else 1), {})
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        if m is None or (terms and not m[1]):
+            col = len(text) - len(text[pos:].lstrip()) + 1
+            found = repr(text[col - 1]) if col <= len(text) else "end of text"
+            raise ParseError(f"unexpected {found} at column {col}")
+        coeff = Fraction(-1 if m[1] == "-" else 1)
+        powers: dict[str, int] = {}
+        for f in _FACTOR.finditer(m[2]):
+            num, den, name, exp = f.groups()
+            if name:
+                powers[name] = powers.get(name, 0) + int(exp or 1)
+            elif den and not int(den):
+                raise ParseError(f"zero denominator at column {m.start(2) + f.start() + 1}")
             else:
-                raise ParseError(f"unexpected number {value!r}; use '*' between factors")
-        elif kind == "var":
-            if expecting_exponent_for is not None:
-                raise ParseError("exponent must be an integer")
-            if current is None:
-                current = (Fraction(sign), {})
-            coeff, powers = current
-            powers[value] = powers.get(value, 0) + 1
-        elif kind == "pow":
-            if current is None or not current[1]:
-                raise ParseError("'^' must follow a variable")
-            last_var = tokens[i - 1]
-            if last_var[0] != "var":
-                raise ParseError("'^' must follow a variable")
-            expecting_exponent_for = last_var[1]
-        elif kind == "mul":
-            if current is None:
-                raise ParseError("'*' must follow a factor")
-        i += 1
-    if expecting_exponent_for is not None:
-        raise ParseError("dangling '^'")
-    if tokens and tokens[-1][0] in ("sign", "mul"):
-        raise ParseError(f"dangling {tokens[-1][1]!r}")
-    flush()
-    if not terms:
-        raise ParseError("empty polynomial")
+                coeff *= Fraction(int(num), int(den or 1))
+        terms.append((coeff, powers))
+        pos = m.end()
+    return terms
 
-    seen: set[str] = set()
-    for _, powers in terms:
-        seen.update(powers)
-    if variables is None:
-        variables = tuple(sorted(seen, key=_natural_var_key))
-    else:
-        unknown = seen - set(variables)
-        if unknown:
-            raise ParseError(f"unknown variables {sorted(unknown)}")
+
+def _build(terms: list[tuple[Fraction, dict[str, int]]], variables: tuple[str, ...]) -> MultiPoly:
+    """The polynomial with these terms over *variables*; other names are errors."""
+    unknown = {name for _, powers in terms for name in powers} - set(variables)
+    if unknown:
+        raise ParseError(f"unknown variables {sorted(unknown)}")
     out: dict[Exponent, Fraction] = {}
     for coeff, powers in terms:
         exp = tuple(powers.get(v, 0) for v in variables)
-        s = out.get(exp, Fraction(0)) + coeff
-        if s:
-            out[exp] = s
-        else:
-            out.pop(exp, None)
+        out[exp] = out.get(exp, Fraction(0)) + coeff
     return MultiPoly(variables, out)
+
+
+def _names(terms) -> tuple[str, ...]:
+    return tuple(sorted({name for _, powers in terms for name in powers}, key=_natural_var_key))
+
+
+def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> MultiPoly:
+    """Parse one polynomial.  With *variables* given, unknown names are errors;
+    otherwise variables are collected and ordered naturally (x2 before x10)."""
+    terms = _terms(text)
+    return _build(terms, _names(terms) if variables is None else variables)
 
 
 def format_polynomial(poly: MultiPoly, order: TermOrder | None = None) -> str:
@@ -457,20 +417,16 @@ def format_polynomial(poly: MultiPoly, order: TermOrder | None = None) -> str:
 def parse_polynomial_file(text: str, variables: tuple[str, ...] | None = None) -> list[MultiPoly]:
     """One polynomial per line; blank lines are ignored.  Variables are shared:
     when not given, the union over all lines is used, naturally ordered."""
-    lines = [(n + 1, line.strip()) for n, line in enumerate(text.splitlines())]
-    lines = [(n, line) for n, line in lines if line]
-    if variables is None:
-        seen: set[str] = set()
-        for n, line in lines:
-            try:
-                seen.update(parse_polynomial(line).support_vars())
-            except ParseError as exc:
-                raise ParseError(str(exc), line=n) from None
-        variables = tuple(sorted(seen, key=_natural_var_key))
-    polys = []
-    for n, line in lines:
-        try:
-            polys.append(parse_polynomial(line, variables))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=n) from None
+    numbered = []
+    try:
+        for n, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                numbered.append((n, _terms(line)))
+        if variables is None:
+            variables = _names(term for _, terms in numbered for term in terms)
+        polys = []
+        for n, terms in numbered:
+            polys.append(_build(terms, variables))
+    except ParseError as exc:
+        raise ParseError(str(exc), line=n) from None
     return polys

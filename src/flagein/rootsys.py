@@ -47,9 +47,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -64,13 +61,6 @@ class Root:
                 parts.append(f"{c:+d}{name}")
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight written in the fundamental-weight basis."""
-
-    coords: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -221,18 +211,10 @@ def killing_form(spec: RootSystemSpec) -> KillingForm:
     if any(l is None for l in lengths):
         raise ConfigurationError("Cartan matrix is not connected")
     gram0 = [[a[i][j] * lengths[i] / 2 for j in range(rank)] for i in range(rank)]
-
-    def pair0(x: Root, y: Root) -> Fraction:
-        return sum(
-            ci * cj * gram0[i][j]
-            for i, ci in enumerate(x.coeffs)
-            for j, cj in enumerate(y.coeffs)
-            if ci and cj
-        )
-
+    form0 = KillingForm(gram0)
     alpha = positive_roots(spec)[0]
-    total = sum(pair0(alpha, beta) ** 2 for beta in all_roots(spec))
-    scale = pair0(alpha, alpha) / total
+    total = sum(form0.pair_roots(alpha, beta) ** 2 for beta in all_roots(spec))
+    scale = form0.length_sq(alpha) / total
     gram = tuple(tuple(scale * v for v in row) for row in gram0)
     return KillingForm(gram=gram)
 
@@ -244,32 +226,6 @@ def weyl_reflect(value: Root, mirror: Root, form: KillingForm) -> Root:
         raise DomainError("mirror is not a root of the same system")
     k = int(factor)
     return Root(tuple(c - k * m for c, m in zip(value.coeffs, mirror.coeffs)))
-
-
-def delta_weight(spec: RootSystemSpec) -> Weight:
-    """Half the sum of the positive roots; all fundamental-weight coordinates are 1."""
-    form = killing_form(spec)
-    half_sum = [Fraction(0)] * spec.rank
-    for r in positive_roots(spec):
-        for i, c in enumerate(r.coeffs):
-            half_sum[i] += Fraction(c, 2)
-    # convert from simple-root to fundamental-weight coordinates
-    coords = tuple(
-        sum(
-            2 * half_sum[j] * form.gram[j][i] for j in range(spec.rank)
-        ) / form.gram[i][i]
-        for i in range(spec.rank)
-    )
-    return Weight(coords)
-
-
-def pair_weight_root(w: Weight, alpha: Root, form: KillingForm) -> Fraction:
-    """(w, alpha) with w in fundamental-weight and alpha in simple-root coordinates."""
-    return sum(
-        wi * ci * form.gram[i][i] / 2
-        for i, (wi, ci) in enumerate(zip(w.coords, alpha.coeffs))
-        if ci
-    )
 
 
 def _fold_to_positive(r: Root) -> Root:

@@ -15,7 +15,7 @@ normalization and the Weyl-induced coordinate permutations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .curvature import (
@@ -320,21 +320,20 @@ def solve_branches(
     spec: RootSystemSpec,
     normalization: str,
     branches: tuple[Branch, ...],
-    budget: GroebnerBudget | dict[str, int] | None = None,
+    budget: dict[str, int] | None = None,
 ) -> SolutionSet:
     """Run each branch of a G2 case analysis and collect its case log.
 
-    A *budget* replaces every branch's budget; a dict of ``GroebnerBudget``
-    fields overrides only those fields.  A branch that runs out of budget is
+    A *budget* dict of ``GroebnerBudget`` fields overrides those fields of
+    every branch's own budget.  A branch that runs out of budget is
     logged with the limit it hit and makes the status 'budget_exceeded'; the
     other branches still run.
     """
     if spec.type_label != "G2":
         raise ConfigurationError("the case analysis tables are specific to G2")
-    overrides = asdict(budget) if isinstance(budget, GroebnerBudget) else dict(budget or {})
     result = SolutionSet(group=spec.type_label, normalization=normalization)
     for branch in branches:
-        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **overrides))
+        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **(budget or {})))
         result.cases.append(record)
         result.solutions.extend(solutions)
         if record.status != "complete":
@@ -419,7 +418,7 @@ def _solve_branch(
 
 def solve_symmetric_ansatz(
     spec: RootSystemSpec,
-    budget: GroebnerBudget | dict[str, int] | None = None,
+    budget: dict[str, int] | None = None,
 ) -> SolutionSet:
     """The x1 = x5 = 1, x4 = x3 branch of the G2 case analysis.
 
@@ -436,7 +435,7 @@ def solve_symmetric_ansatz(
 
 def solve_general_case(
     spec: RootSystemSpec,
-    budget: GroebnerBudget | dict[str, int] | None = None,
+    budget: dict[str, int] | None = None,
 ) -> SolutionSet:
     """The x1 = 1 branch with x1, x5, x6 pairwise distinct.
 
@@ -669,7 +668,7 @@ def classify_full(
     starts: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
-    budget: GroebnerBudget | dict[str, int] | None = None,
+    budget: dict[str, int] | None = None,
 ) -> SolutionSet:
     """Combine the exact case analysis with the numeric oracle and classify.
 

@@ -85,10 +85,20 @@ def test_ricci_normal_metric(capsys):
     assert payload["residual"] == "1/12"
 
 
-def test_ricci_rejects_nonpositive(capsys):
-    code, _, err = run(capsys, "ricci", "G2", "--metric", "0,1,1,1,1,1")
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("0", "must be positive"),
+        ("inf", "bad metric entry 'inf'"),
+        ("1e400", "bad metric entry '1e400'"),
+        ("nan", "bad metric entry 'nan'"),
+    ],
+    ids=["zero", "inf", "1e400", "nan"],
+)
+def test_ricci_rejects_bad_metric_entries(capsys, entry, message):
+    code, _, err = run(capsys, "ricci", "G2", "--metric", f"{entry},1,1,1,1,1")
     assert code == EXIT_USAGE
-    assert "positive" in err
+    assert message in err
 
 
 def test_ricci_rejects_wrong_length(capsys):
@@ -216,6 +226,14 @@ def test_groebner_parse_error_line(tmp_path, capsys):
     code, _, err = run(capsys, "groebner", str(source))
     assert code == EXIT_USAGE
     assert "line 2" in err
+
+
+def test_groebner_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    source = tmp_path / "bad.txt"
+    source.write_text("x + 1\nx - 1/0\n")
+    code, _, err = run(capsys, "groebner", str(source))
+    assert code == EXIT_USAGE
+    assert "line 2" in err and "column 5" in err
 
 
 def test_groebner_isolates_elimination_polynomial(tmp_path, capsys, g2):

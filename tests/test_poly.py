@@ -122,19 +122,49 @@ def test_parse_examples():
     assert g.terms == {(1,): F(1, 2), (0,): F(-3, 4)}
 
 
-def test_parse_errors():
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+x", "x"),
+        ("- x", "-x"),
+        ("x ^ 2", "x^2"),
+        ("0", "0"),
+        ("0*x", "0"),
+        ("x^0", "1"),
+        ("x*x", "x^2"),
+        (" 2 * x ^ 3 * y - 1/2 ", "2*x^3*y - 1/2"),
+    ],
+)
+def test_parse_examples_with_optional_sign_and_spacing(text, expected):
+    assert format_polynomial(parse_polynomial(text, VARS)) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "x + ",
+        "x^",
+        "x^-2",
+        "x + z",
+        "3 @ x",
+        # a sign inside a term
+        "x*-y",
+        "x*+y",
+        # implicit products
+        "2x",
+        "x y",
+        "x^2y",
+        # doubled operators
+        "x**y",
+        "--x",
+        "x + -y",
+        "1/0*x",
+    ],
+)
+def test_parse_errors(text):
     with pytest.raises(ParseError):
-        parse_polynomial("", ("x",))
-    with pytest.raises(ParseError):
-        parse_polynomial("x + ", ("x",))
-    with pytest.raises(ParseError):
-        parse_polynomial("x^", ("x",))
-    with pytest.raises(ParseError):
-        parse_polynomial("x^-2", ("x",))
-    with pytest.raises(ParseError):
-        parse_polynomial("x + y", ("x",))
-    with pytest.raises(ParseError):
-        parse_polynomial("3 @ x", ("x",))
+        parse_polynomial(text, VARS)
 
 
 def test_parse_file_reports_line_numbers():
@@ -149,6 +179,12 @@ def test_parse_file_reports_line_numbers():
 def test_parse_file_infers_natural_variable_order():
     polys = parse_polynomial_file("x10 + x2\nx3^2\n")
     assert polys[0].vars == ("x2", "x3", "x10")
+
+
+def test_parse_file_keeps_names_whose_terms_vanish():
+    polys = parse_polynomial_file("x^0 + y\nz - z\n")
+    assert [p.vars for p in polys] == [("x", "y", "z")] * 2
+    assert polys[1].is_zero()
 
 
 def test_laurent_division_and_clearing():

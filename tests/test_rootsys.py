@@ -8,10 +8,8 @@ from flagein.errors import ConfigurationError, DomainError
 from flagein.rootsys import (
     Root,
     all_roots,
-    delta_weight,
     killing_form,
     long_short_split,
-    pair_weight_root,
     positive_roots,
     root_system,
     weyl_orbit_permutations,
@@ -128,39 +126,35 @@ def test_reflection_involution_and_isometry(label, data):
     assert form.length_sq(image) == form.length_sq(v)
 
 
-def test_reflect_zero_mirror_rejected():
-    g2 = root_system("G2")
-    form = killing_form(g2)
+def test_zero_root_rejected():
     with pytest.raises(DomainError):
         Root((0, 0))
 
 
+def _positive_root_sum(spec):
+    """2 delta, the sum of the positive roots."""
+    return Root(tuple(map(sum, zip(*(r.coeffs for r in positive_roots(spec))))))
+
+
 def test_delta_all_ones():
+    # every fundamental-weight coordinate of delta is 1, i.e.
+    # 2 (delta, a_i) = (a_i, a_i) for every simple root a_i
     for label in SMALL_GROUPS:
         spec = root_system(label)
-        assert all(c == 1 for c in delta_weight(spec).coords)
+        form = killing_form(spec)
+        two_delta = _positive_root_sum(spec)
+        # the first rank positive roots are the simple roots
+        for simple in positive_roots(spec)[: spec.rank]:
+            assert form.pair_roots(two_delta, simple) == form.length_sq(simple)
 
 
 def test_g2_delta_pairings():
     g2 = root_system("G2")
     form = killing_form(g2)
-    delta = delta_weight(g2)
+    two_delta = _positive_root_sum(g2)
     pos = positive_roots(g2)
-    assert 2 * pair_weight_root(delta, pos[3], form) == F(5, 12)
-    assert 2 * pair_weight_root(delta, pos[5], form) == F(9, 12)
-
-
-def test_fundamental_weight_normalization():
-    # 2 (delta, a_i) = (a_i, a_i) since every fundamental coordinate of delta is 1
-    for label in SMALL_GROUPS:
-        spec = root_system(label)
-        form = killing_form(spec)
-        delta = delta_weight(spec)
-        for i in range(spec.rank):
-            simple = positive_roots(spec)[0].__class__(
-                tuple(1 if j == i else 0 for j in range(spec.rank))
-            )
-            assert 2 * pair_weight_root(delta, simple, form) == form.gram[i][i]
+    assert form.pair_roots(two_delta, pos[3]) == F(5, 12)
+    assert form.pair_roots(two_delta, pos[5]) == F(9, 12)
 
 
 def test_g2_orbit_permutations_match_known_set():
