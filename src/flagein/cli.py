@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -248,11 +249,7 @@ def cmd_groebner(args, out) -> int:
     basis = buchberger(polys, order, replace(GroebnerBudget(), **_budget_overrides(args)))
     isolation = None
     if basis.complete and args.isolate:
-        target = None
-        for g in basis.generators:
-            if g.support_vars() == (args.isolate,):
-                target = g
-                break
+        target = next((g for g in basis.generators if g.support_vars() == (args.isolate,)), None)
         if target is None:
             raise ConfigurationError(f"basis has no generator univariate in {args.isolate}")
         intervals = sturm_isolate(target, rng=(Fraction(0), None))
@@ -355,8 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # argparse takes a value like -1,1 for an option; bind it to --metric
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--metric" and re.match(r"-\d", token):
+            tokens[-1] = f"--metric={token}"
+        else:
+            tokens.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 from .isotropy import TripleTensor, triple_tensor
@@ -120,7 +119,6 @@ def einstein_residual(metric: InvariantMetric, triples: TripleTensor) -> tuple[S
     return k, residual
 
 
-@lru_cache(maxsize=None)
 def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
     """The metric with components 2 (delta, alpha), rescaled to coprime integers;
     2 delta is the sum of the positive roots."""
@@ -132,11 +130,11 @@ def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
     return InvariantMetric.exact([v / shared for v in raw])
 
 
-def is_kaehler(
-    metric: InvariantMetric,
-    spec: RootSystemSpec,
-    tol: float = 1e-8,
-) -> tuple[bool, tuple[int, ...] | None]:
+# relative tolerance of the proportionality test for float metrics
+_KAEHLER_TOL = 1e-8
+
+
+def is_kaehler(metric: InvariantMetric, spec: RootSystemSpec) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some Weyl-induced permutation of the metric is proportional to
     the Kaehler-Einstein metric; returns the witnessing permutation."""
     metric.require_positive()
@@ -150,7 +148,7 @@ def is_kaehler(
                 return True, sigma
         else:
             base = float(ratios[0])
-            if all(abs(float(v) - base) <= tol * abs(base) for v in ratios):
+            if all(abs(float(v) - base) <= _KAEHLER_TOL * abs(base) for v in ratios):
                 return True, sigma
     return False, None
 

@@ -368,10 +368,9 @@ def _buchberger_loop(
     budget: GroebnerBudget,
     stats: GroebnerStats,
 ) -> list[_Poly]:
-    """Core pair loop over primitive polynomials; raises _BudgetExceeded."""
-    basis = _interreduce(polys, ring, budget.max_coeff_bits)
-    if not basis:
-        return []
+    """Core pair loop over primitive polynomials, which may be any generating
+    set; returns the reduced basis or raises _BudgetExceeded."""
+    basis = list(polys)
     leads = [p.lead for p in basis]
 
     age = 0
@@ -539,7 +538,9 @@ def _fglm(
                 up[i] += 1
                 push(tuple(up))
     stats.conversion = "grevlex+fglm"
-    return _interreduce(out, target)
+    # each generator is its lead minus target-standard monomials, in lead
+    # order: the reduced basis as it stands
+    return out
 
 
 def buchberger(
@@ -549,12 +550,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by *generators*.
 
-    For a lex target the computation first builds a grevlex basis; when that
-    shows the ideal is zero-dimensional the lex basis is obtained by FGLM
-    conversion, otherwise the pair loop runs under lex, seeded with the
-    grevlex basis.  Either way the result is the unique reduced lex basis.
+    The first pass interreduces the input once and runs the pair loop on it,
+    under grevlex when a lex basis of more than one variable is requested.
+    If that grevlex basis shows the ideal is zero-dimensional, FGLM converts
+    it and its output, reduced by construction, is the result.  Otherwise
+    the pair loop runs under lex starting from the grevlex basis as it
+    stands.  Either way the result is the unique reduced basis.
 
-    The budget bounds the whole call: both passes count against the same
+    The budget bounds the whole call: every pass counts against the same
     pairs and coefficient bits, and a pass that runs out returns
     'budget_exceeded' at once, with its stats and the limit that tripped.
     """
@@ -564,18 +567,17 @@ def buchberger(
     stats = GroebnerStats()
     bits = _field_bits(generators)
     ring = _Monomials(order, bits)
-    nonzero = [g for g in generators if not g.is_zero()]
+    first = ring
+    if order.kind == "lex" and ring.n > 1:
+        first = _Monomials(TermOrder("grevlex", order.variables), bits)
     try:
-        if order.kind == "lex" and ring.n > 1:
-            grevlex = _Monomials(TermOrder("grevlex", order.variables), bits)
-            warm = _buchberger_loop([_poly_from(g, grevlex) for g in nonzero], grevlex, budget, stats)
-            final = _fglm(warm, grevlex, ring, stats) if _is_zero_dimensional(warm, grevlex) else None
-            if final is None:
-                # a lex run seeded with the grevlex basis
-                seeds = [_repack(p, grevlex, ring) for p in warm]
-                final = _buchberger_loop(seeds, ring, budget, stats)
-        else:
-            final = _buchberger_loop([_poly_from(g, ring) for g in nonzero], ring, budget, stats)
+        seeds = [_poly_from(g, first) for g in generators if not g.is_zero()]
+        final = _buchberger_loop(_interreduce(seeds, first, budget.max_coeff_bits), first, budget, stats)
+        if first is not ring:
+            lex = _fglm(final, first, ring, stats) if _is_zero_dimensional(final, first) else None
+            if lex is None:
+                lex = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
+            final = lex
     except _BudgetExceeded as exc:
         stats.budget_limit = exc.limit
         return GroebnerBasis([], order, "budget_exceeded", stats)

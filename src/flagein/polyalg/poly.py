@@ -51,10 +51,6 @@ def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def content(values) -> Fraction:
     """Positive rational c such that the values divided by c are coprime
     integers; 1 when every value is zero."""
@@ -212,18 +208,6 @@ class MultiPoly(_SparsePoly):
         """Positive rational c such that self/c has coprime integer coefficients."""
         return content(self.terms.values())
 
-    def monomial_gcd(self) -> Exponent:
-        it = iter(self.terms)
-        acc = list(next(it, (0,) * len(self.vars)))
-        for exp in self.terms:
-            acc = [min(a, e) for a, e in zip(acc, exp)]
-        return tuple(acc)
-
-    def divide_monomial(self, exp: Exponent) -> "MultiPoly":
-        if not _divides(exp, self.monomial_gcd()) and self.terms:
-            raise DomainError("monomial does not divide every term")
-        return MultiPoly(self.vars, {tuple(e - d for e, d in zip(t, exp)): c for t, c in self.terms.items()})
-
     # variable management
 
     def with_variables(self, variables: tuple[str, ...]) -> "MultiPoly":
@@ -301,18 +285,16 @@ class LaurentPoly(_SparsePoly):
         return self._coerce(other) / self
 
     def cleared(self) -> tuple[MultiPoly, Exponent]:
-        """Multiply by the minimal monomial making all exponents nonnegative.
+        """The monomial multiple whose smallest exponent in each variable is 0.
 
-        Returns (polynomial, clearing exponent); self == polynomial / x^clearing.
+        That multiple is unique: the shift of each variable is minus its
+        smallest exponent, so it is negative where every term has that
+        variable.  Returns (polynomial, shift) with polynomial ==
+        self * x^shift; the zero polynomial has shift 0.
         """
-        width = len(self.vars)
-        shift = [0] * width
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if -e > shift[i]:
-                    shift[i] = -e
+        shift = tuple(-min(col) for col in zip(*self.terms)) if self.terms else (0,) * len(self.vars)
         out = {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in self.terms.items()}
-        return MultiPoly(self.vars, out), tuple(shift)
+        return MultiPoly(self.vars, out), shift
 
     def __repr__(self):
         inner = " + ".join(f"{c}*{exp}" for exp, c in sorted(self.terms.items()))

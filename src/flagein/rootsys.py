@@ -108,7 +108,6 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=None)
 def root_system(label: str) -> RootSystemSpec:
     """Look up a root system by label such as 'G2', 'A2', or 'B3'."""
     label = label.strip()

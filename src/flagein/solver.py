@@ -21,6 +21,7 @@ from fractions import Fraction
 from .curvature import (
     EinsteinSolution,
     InvariantMetric,
+    _ricci_values,
     apply_permutation,
     einstein_residual,
     is_kaehler,
@@ -31,7 +32,7 @@ from .isotropy import triple_tensor
 from .polyalg.groebner import GroebnerBudget, saturate
 from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_polynomial
 from .polyalg.realroots import divide, interval_eval, refine_root, sturm_isolate
-from .rootsys import RootSystemSpec, positive_roots, weyl_orbit_permutations
+from .rootsys import RootSystemSpec, positive_roots, root_system, weyl_orbit_permutations
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,6 @@ def build_system(
         else:
             atoms.append(LaurentPoly.variable(target, free))
 
-    from .curvature import _ricci_values
-
     r = _ricci_values(atoms, triple_tensor(spec))
     if pairs is None:
         pairs = [(i, i + 1) for i in range(s - 1)]
@@ -144,15 +143,13 @@ def build_system(
         if diff.is_zero():
             continue
         cleared, shift = diff.cleared()
-        gcd_exp = cleared.monomial_gcd()
-        cleared = cleared.divide_monomial(gcd_exp)
         content = cleared.content()
         _, lead = order.leading(cleared)
         if lead < 0:
             content = -content
         polys.append(MultiPoly(free, {e: c / content for e, c in cleared.terms.items()}))
-        # poly == (r_i - r_j) * x^(shift - gcd_exp) / content
-        clearings.append((tuple(a - b for a, b in zip(shift, gcd_exp)), content))
+        # poly == (r_i - r_j) * x^shift / content
+        clearings.append((shift, content))
         kept_pairs.append((i, j))
     return EinsteinSystem(
         group=spec.type_label,
@@ -176,18 +173,9 @@ def _linear_solve_on_interval(
     *eliminated* variable; a zero-width enclosure gives the exact value."""
     if poly.degree_in(var) != 1:
         raise DomainError(f"generator is not linear in {var}")
-    i = poly.vars.index(var)
-    a_terms: dict[Exponent, Fraction] = {}
-    b_terms: dict[Exponent, Fraction] = {}
-    for exp, c in poly.terms.items():
-        reduced = list(exp)
-        if exp[i] == 1:
-            reduced[i] = 0
-            a_terms[tuple(reduced)] = c
-        else:
-            b_terms[tuple(reduced)] = c
-    a_coeffs = MultiPoly(poly.vars, a_terms).univariate_in(eliminated)
-    b_coeffs = MultiPoly(poly.vars, b_terms).univariate_in(eliminated)
+    a = poly.derivative(var)
+    a_coeffs = a.univariate_in(eliminated)
+    b_coeffs = (poly - MultiPoly.variable(var, poly.vars) * a).univariate_in(eliminated)
     lo, hi = enclosure
     a_lo, a_hi = interval_eval(a_coeffs, lo, hi)
     b_lo, b_hi = interval_eval(b_coeffs, lo, hi)
@@ -456,13 +444,10 @@ def newton_oracle(
     starts: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
-    initial_points: list[tuple[float, ...]] | None = None,
 ) -> SolutionSet:
     """Damped Newton on the cleared system from log-uniform random starts in
     [1e-2, 1e2]^dim; converged positive points are deduplicated up to scale
-    and Weyl permutation.  Deterministic for a fixed seed.  Explicit
-    *initial_points* (free-variable vectors) are iterated before the random
-    starts; a point already at a solution is a fixed point of the iteration.
+    and Weyl permutation.  Deterministic for a fixed seed.
 
     The case note counts the starts rejected for each reason and the points
     that reached each class (its basin hits), in class order."""
@@ -470,8 +455,6 @@ def newton_oracle(
 
     if starts < 1:
         raise ConfigurationError("starts must be >= 1")
-    from .rootsys import root_system
-
     spec = root_system(system.group)
     result = SolutionSet(group=system.group, normalization=_normalization_text(system))
     dim = len(system.variables)
@@ -601,29 +584,19 @@ def newton_oracle(
             X[sub] = Xa - lam[:, None] * step
         return outcome
 
+    # the generator's stream does not depend on how the draws are split
     rng = np.random.default_rng(seed)
-    chunk = 16384  # rows per random draw
-    block = 2048  # rows per Newton pass; bounds the working arrays
+    block = 2048  # rows per draw and Newton pass; bounds the working arrays
     found: list[tuple[float, ...]] = []
     outcomes = np.zeros(len(_OUTCOMES), dtype=np.int64)
-
-    pending = [np.asarray(initial_points, dtype=float)] if initial_points else []
-    remaining = starts
-    while remaining > 0 or pending:
-        if pending:
-            X = pending.pop()
-        else:
-            n = min(chunk, remaining)
-            remaining -= n
-            X = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, dim))
-        for lo in range(0, X.shape[0], block):
-            Xb = X[lo : lo + block]
-            outcome = iterate(Xb)
-            positive = (Xb > tol).all(axis=1)
-            outcome[(outcome == _CONVERGED) & ~positive] = _NON_POSITIVE
-            outcomes += np.bincount(outcome, minlength=len(_OUTCOMES))
-            for row in Xb[outcome == _CONVERGED]:
-                found.append(tuple(float(v) for v in row))
+    for lo in range(0, starts, block):
+        X = 10.0 ** rng.uniform(-2.0, 2.0, size=(min(block, starts - lo), dim))
+        outcome = iterate(X)
+        positive = (X > tol).all(axis=1)
+        outcome[(outcome == _CONVERGED) & ~positive] = _NON_POSITIVE
+        outcomes += np.bincount(outcome, minlength=len(_OUTCOMES))
+        for row in X[outcome == _CONVERGED]:
+            found.append(tuple(float(v) for v in row))
 
     triples = triple_tensor(spec)
     metrics: list[InvariantMetric] = []

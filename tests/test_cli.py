@@ -89,11 +89,12 @@ def test_ricci_normal_metric(capsys):
     "entry, message",
     [
         ("0", "must be positive"),
+        ("-1", "must be positive"),
         ("inf", "bad metric entry 'inf'"),
         ("1e400", "bad metric entry '1e400'"),
         ("nan", "bad metric entry 'nan'"),
     ],
-    ids=["zero", "inf", "1e400", "nan"],
+    ids=["zero", "negative", "inf", "1e400", "nan"],
 )
 def test_ricci_rejects_bad_metric_entries(capsys, entry, message):
     code, _, err = run(capsys, "ricci", "G2", "--metric", f"{entry},1,1,1,1,1")

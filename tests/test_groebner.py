@@ -148,21 +148,66 @@ def test_budget_names_the_limit():
     assert tight.stats.budget_limit == "coeff_bits"
 
 
-def test_budget_bounds_interreduction():
-    # the grevlex pass finishes at once on this non-zero-dimensional ideal; the
-    # lex pass then interreduces its seeds, whose coefficients grow without
-    # end unless the bit budget bounds that step too
+def _interreduction_ideal():
     xyz = ("x", "y", "z")
-    gens = [
+    return [
         parse_polynomial("4*x^2*z - 2*x*z^2 - 2*y", xyz),
         parse_polynomial("x^2*y^2*z^2 + 5*x^2*y*z^2 - 5/3*x*y*z^2 - 2*x^2*y", xyz),
         parse_polynomial("-1/2*x^2*z^2 + 4*x^2*z + x*z^2 - 2*y*z", xyz),
     ]
+
+
+def test_budget_bounds_interreduction():
+    # the grevlex pass finishes at once on this non-zero-dimensional ideal; the
+    # lex pass starts from that basis as it stands, so every step of it counts
+    # against the budget, and it completes within it
+    gens = _interreduction_ideal()
     started = time.perf_counter()
-    result = buchberger(gens, TermOrder("lex", xyz), GroebnerBudget(max_pairs=60, max_coeff_bits=200))
+    result = buchberger(gens, TermOrder("lex", ("x", "y", "z")), GroebnerBudget(max_pairs=60, max_coeff_bits=200))
+    assert time.perf_counter() - started < 10.0
+    assert result.complete
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    exprs = [sympy.sympify(format_polynomial(g).replace("^", "**")) for g in gens]
+    ours = sorted(sorted(_monic(dict(g.terms)).items()) for g in result.generators)
+    theirs = sorted(
+        sorted(_monic({e: F(int(c.p), int(c.q)) for e, c in p.terms()}).items())
+        for p in sympy.groebner(exprs, x, y, z, order="lex").polys
+    )
+    assert ours == theirs
+
+
+def test_bit_budget_bounds_the_lex_pass():
+    started = time.perf_counter()
+    result = buchberger(
+        _interreduction_ideal(), TermOrder("lex", ("x", "y", "z")), GroebnerBudget(max_pairs=60, max_coeff_bits=20)
+    )
     assert time.perf_counter() - started < 10.0
     assert result.status == "budget_exceeded"
     assert result.stats.budget_limit == "coeff_bits"
+
+
+def test_pair_budget_bounds_the_lex_pass(ansatz_generators):
+    # the grevlex pass stops at 24 pairs on this non-zero-dimensional ideal;
+    # the lex pass must hit the pair budget, not run unbounded before it
+    started = time.perf_counter()
+    result = buchberger(ansatz_generators, TermOrder("lex", ("x2", "x3", "x6")), GroebnerBudget(max_pairs=40))
+    assert time.perf_counter() - started < 5.0
+    assert result.status == "budget_exceeded"
+    assert result.stats.budget_limit == "pairs"
+
+
+def test_lex_pass_from_the_grevlex_basis_is_complete(ansatz_generators):
+    order = TermOrder("lex", ("x2", "x3", "x6"))
+    result = buchberger(ansatz_generators, order)
+    assert result.complete
+    assert result.stats.conversion == "direct"
+    basis = result.generators
+    for g in ansatz_generators:
+        assert reduce_poly(g, basis, order).is_zero()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            assert reduce_poly(s_polynomial(basis[i], basis[j], order), basis, order).is_zero()
 
 
 @pytest.mark.parametrize("op", ["reduce", "buchberger"])

@@ -196,6 +196,8 @@ def test_laurent_division_and_clearing():
     assert shift == (1, 2)
     expected = parse_polynomial("1/2*b^2 + a^2 - a*b^3", names)
     assert cleared == expected
+    # a common monomial factor is divided out: the shift may be negative
+    assert (a * b + a).cleared() == (parse_polynomial("b + 1", names), (-1, 0))
     with pytest.raises(DomainError):
         expr / (a + b)
 

@@ -387,14 +387,6 @@ def test_oracle_matches_ansatz(g2, ansatz_result):
         )
 
 
-def test_oracle_fixed_point_at_exact_solution(g2):
-    system = build_system(g2, normalization={"x1": 1})
-    point = (1 / 3, 4 / 3, 5 / 3, 2.0, 3.0)  # gauge-fixed Kaehler-Einstein values
-    result = newton_oracle(system, starts=1, seed=0, tol=1e-12, initial_points=[point])
-    ke = next(s for s in result.solutions if s.kaehler)
-    assert all(abs(float(a) - b) < 1e-9 for a, b in zip(ke.metric.x, (1.0,) + point))
-
-
 def test_oracle_output_is_pinned(g2):
     # recorded before the Newton kernel was vectorized; the kernel works row
     # by row, so iterates and convergent points must not move by one bit
