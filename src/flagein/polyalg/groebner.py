@@ -4,9 +4,11 @@ The pair loop uses the normal selection strategy (smallest leading-term lcm
 under the active order, ties by age) and prunes with the coprime and chain
 criteria in Gebauer-Moeller form.  Requesting a lex basis of a
 zero-dimensional ideal takes the standard fast route: a grevlex basis first,
-then exact FGLM conversion.  Both routes produce the same object, the unique
-reduced basis, normalized to integer-primitive generators with positive
-leading coefficients, so identical inputs give bit-identical output.
+then exact FGLM conversion, which reduces each monomial it visits from the
+normal form of the monomial it came from (Faugere-Gianni-Lazard-Mora, JSC
+1993).  Both routes produce the same object, the unique reduced basis,
+normalized to integer-primitive generators with positive leading
+coefficients, so identical inputs give bit-identical output.
 
 All arithmetic runs in one integer kernel (Monagan-Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -475,9 +477,16 @@ def _fglm(
 ) -> list[_Poly] | None:
     """Convert a zero-dimensional reduced basis to *target*'s order by linear algebra.
 
+    Monomials are visited in increasing *target* order.  Normal forms under a
+    Groebner basis are unique, so NF(x_i m) = NF(x_i NF(m)): each queued
+    monomial carries its parent's normal form and the variable step, and is
+    reduced from that shifted normal form rather than from scratch.  A
+    parent's normal form is held only by its queued children.
+
     Rows are kept fraction-free: each row R carries an integer combination C
     of already visited monomials with NF(C) = R, and eliminating against a
-    row scales by the reduced ratio of the two pivot entries.
+    row scales by the reduced ratio of the two pivot entries.  A row is a
+    primitive integer vector, so a normal form's scale does not change it.
     """
     standard = _standard_monomials(basis, ring, cap=20_000)
     if standard is None:
@@ -507,20 +516,25 @@ def _fglm(
         h = gcd(*vec, *combo.values())
         return [v // h for v in vec], {m: c // h for m, c in combo.items()}
 
+    # (target key, exponent, parent's remainder and scale, step); the key is
+    # unique per exponent, so the heap never compares further
     heap: list = []
     queued = set()
+    steps = [ring.variable(i) for i in range(width)]
 
-    def push(exp: Exponent):
+    def push(exp: Exponent, parent: tuple[dict[int, int], int], step: int):
         if exp not in queued:
             queued.add(exp)
-            heapq.heappush(heap, (target.pack(exp), exp))
+            heapq.heappush(heap, (target.pack(exp), exp, parent, step))
 
-    push((0,) * width)
+    # the monomial 1 enters the same way: the normal form 1 times the empty step
+    push((0,) * width, ({0: 1}, 1), 0)
     while heap:
-        key, exp = heapq.heappop(heap)
+        key, exp, (parent, parent_scale), step = heapq.heappop(heap)
         if any(target.divides(l, key) for l in new_leads):
             continue
-        remainder, scale = _reduce({ring.pack(exp): 1}, 1, basis, ring)
+        shifted = {ring.mul(m, step): c for m, c in parent.items()}
+        remainder, scale = _reduce(shifted, parent_scale, basis, ring)
         vec = [remainder.get(m, 0) for m in standard]
         vec, combo = eliminated(vec, {key: scale})
         pivot = next((k for k in range(dim) if vec[k]), None)
@@ -533,10 +547,11 @@ def _fglm(
             chosen += 1
             if chosen > dim:
                 raise DomainError("FGLM dimension overflow; ideal not zero-dimensional")
+            normal_form = (remainder, scale)
             for i in range(width):
                 up = list(exp)
                 up[i] += 1
-                push(tuple(up))
+                push(tuple(up), normal_form, steps[i])
     stats.conversion = "grevlex+fglm"
     # each generator is its lead minus target-standard monomials, in lead
     # order: the reduced basis as it stands

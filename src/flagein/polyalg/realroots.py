@@ -1,35 +1,35 @@
 """Certified real-root isolation for univariate rational polynomials.
 
 Sturm sequences give exact root counts on any interval; bisection with exact
-sign tests refines isolating intervals to arbitrary width.  All arithmetic is
-over Fraction, so every certificate is exact.
+sign tests refines isolating intervals to arbitrary width.  Interval
+endpoints are Fractions, but every sign test runs on integers: a polynomial
+is scaled once per call to integer coefficients by the positive lcm of its
+denominators, and for q > 0 the integer q^n f(p/q) has the sign of f(p/q).
+The square-free part and the Sturm chain are built with primitive
+pseudo-remainders scaled by |lc|^(delta+1), which preserves every sign, so
+the intervals and certificates are exactly those of rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import DomainError
-from .poly import MultiPoly, content
+from .poly import MultiPoly
 
 Coeffs = list[Fraction]  # dense, ascending
+IntCoeffs = list[int]  # dense, ascending, a positive multiple of a Coeffs
 
 
-def _strip(c: Coeffs) -> Coeffs:
+def _strip(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def _eval(c: Coeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
-
-
-def _derivative(c: Coeffs) -> Coeffs:
+def _derivative(c: list) -> list:
     return [i * coeff for i, coeff in enumerate(c)][1:]
 
 
@@ -49,59 +49,121 @@ def divide(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     return q, r
 
 
-def _primitive_signed(c: Coeffs) -> Coeffs:
+def _integer(c) -> IntCoeffs:
+    """Rational coefficients times the positive lcm of their denominators."""
+    den = lcm(*(v.denominator for v in c))
+    return [v.numerator * (den // v.denominator) for v in c]
+
+
+def _primitive(c: IntCoeffs) -> IntCoeffs:
     """Divide by the positive content; sign is preserved (Sturm needs it)."""
-    factor = content(c)
-    return [v / factor for v in c]
+    g = gcd(*c)
+    return [v // g for v in c] if g > 1 else c
 
 
-def _gcd_poly(a: Coeffs, b: Coeffs) -> Coeffs:
-    a, b = list(a), list(b)
-    while _strip(b):
-        a, b = b, divide(a, b)[1]
-    return _primitive_signed(a)
+def _remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """A positive multiple of the remainder of a / b, primitive.
+
+    Each division step scales the running remainder by |lc(b)| / g, where g
+    is the gcd of lc(b) and the term being cancelled, so the pseudo-remainder
+    is the true remainder times a divisor of |lc(b)|^(delta+1) > 0.
+    """
+    r = _strip(list(a))
+    db = len(b) - 1
+    lc = b[-1]
+    while len(r) - 1 >= db:
+        shift = len(r) - 1 - db
+        lead = r.pop()
+        g = gcd(lead, lc)
+        keep = abs(lc) // g
+        take = lead // g if lc > 0 else -lead // g
+        if keep != 1:
+            r = [keep * v for v in r]
+        for i, coeff in enumerate(b[:-1]):
+            r[shift + i] -= take * coeff
+        _strip(r)
+    return _primitive(r)
 
 
-def square_free_part(c: Coeffs) -> Coeffs:
-    d = _derivative(c)
-    if not _strip(list(d)):
-        return _primitive_signed(list(c))
-    g = _gcd_poly(c, d)
-    if len(g) <= 1:
-        return _primitive_signed(list(c))
-    return _primitive_signed(divide(c, g)[0])
+def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """a / b for a primitive b that divides a; integral by Gauss's lemma."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        factor = r[shift + db] // b[-1]
+        q[shift] = factor
+        for i, coeff in enumerate(b):
+            r[shift + i] -= factor * coeff
+    return q
 
 
-def sturm_chain(c: Coeffs) -> list[Coeffs]:
-    chain = [list(c), _derivative(c)]
-    while _strip(chain[-1]):
-        nxt = [-v for v in divide(chain[-2], chain[-1])[1]]
-        chain.append(_primitive_signed(_strip(nxt)))
+def _square_free(c: IntCoeffs) -> IntCoeffs:
+    """Primitive square-free part of c (lead non-zero) with the sign that
+    rational division gives."""
+    a, b = c, _derivative(c)
+    while b:
+        a, b = b, _remainder(a, b)
+    if len(a) <= 1:
+        return _primitive(c)
+    return _primitive(_exact_quotient(c, _primitive(a)))
+
+
+def _sturm_chain(c: IntCoeffs) -> list[IntCoeffs]:
+    """Sturm chain of c (lead non-zero); the members after c' are primitive."""
+    chain = [c, _derivative(c)]
+    while chain[-1]:
+        chain.append([-v for v in _remainder(chain[-2], chain[-1])])
     chain.pop()
     return chain
 
 
-def _sign(v: Fraction) -> int:
+def square_free_part(c: Coeffs) -> Coeffs:
+    """Primitive integer square-free part of c, as Fractions."""
+    return [Fraction(v) for v in _square_free(_strip(_integer(c)))]
+
+
+def sturm_chain(c: Coeffs) -> list[IntCoeffs]:
+    """Sturm chain of c; each member is a positive multiple of the classical
+    one (c, c', -rem, ...), with integer coefficients."""
+    return _sturm_chain(_strip(_integer(c)))
+
+
+def _powers(q: int, n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * q)
+    return out
+
+
+def _scaled_value(c: IntCoeffs, p: int, q_powers: list[int]) -> int:
+    """q^n c(p/q) for the q whose powers are given; n = deg c and q > 0, so
+    the result has the sign of c(p/q)."""
+    total = c[-1]
+    for coeff, qk in zip(c[-2::-1], q_powers[1:]):
+        total = total * p + coeff * qk
+    return total
+
+
+def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations(chain: list[Coeffs], x) -> int:
-    """Sign variations at a point; x may be a Fraction or +-infinity ('inf')."""
-    signs = []
-    for poly in chain:
-        if x == "+inf":
-            s = _sign(poly[-1])
-        elif x == "-inf":
-            s = _sign(poly[-1]) * (1 if (len(poly) - 1) % 2 == 0 else -1)
-        else:
-            s = _sign(_eval(poly, x))
-        if s:
-            signs.append(s)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+def _value_sign(c: IntCoeffs, x: Fraction) -> int:
+    return _sign(_scaled_value(c, x.numerator, _powers(x.denominator, len(c) - 1)))
+
+
+def _variations(chain: list[IntCoeffs], x) -> int:
+    """Sign variations at a point; x may be a rational or '+inf' / '-inf'."""
+    if x == "+inf":
+        values = [poly[-1] for poly in chain]
+    elif x == "-inf":
+        values = [poly[-1] if len(poly) % 2 else -poly[-1] for poly in chain]
+    else:
+        p, powers = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
+        values = [_scaled_value(poly, p, powers) for poly in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -136,7 +198,8 @@ def _as_coeffs(p: MultiPoly | Coeffs) -> Coeffs:
     return [Fraction(v) for v in p]
 
 
-def root_count(chain: list[Coeffs], lo, hi) -> int:
+def root_count(chain: list[IntCoeffs], lo, hi) -> int:
+    """Distinct roots in (lo, hi] of the polynomial whose chain this is."""
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -155,11 +218,11 @@ def sturm_isolate(
         raise DomainError("zero polynomial")
     if len(coeffs) == 1:
         return []
-    sf = square_free_part(coeffs)
-    frozen = tuple(sf)
-    chain = sturm_chain(sf)
+    sf = _square_free(_integer(coeffs))
+    frozen = tuple(Fraction(v) for v in sf)
+    chain = _sturm_chain(sf)
     # Cauchy bound on root magnitude
-    bound = 1 + max(abs(c) for c in sf[:-1]) / abs(sf[-1]) if len(sf) > 1 else Fraction(1)
+    bound = 1 + Fraction(max(abs(c) for c in sf[:-1]), abs(sf[-1]))
     lo_req, hi_req = rng if rng else (None, None)
     lo = -bound if lo_req is None else max(Fraction(lo_req), -bound)
     hi = bound if hi_req is None else min(Fraction(hi_req), bound)
@@ -177,18 +240,18 @@ def sturm_isolate(
         """Radius d <= radius with x the only root in [x-d, x+d], endpoints nonzero."""
         d = radius
         while (
-            _eval(sf, x - d) == 0
-            or _eval(sf, x + d) == 0
+            not _value_sign(sf, x - d)
+            or not _value_sign(sf, x + d)
             or root_count(chain, x - d, x + d) != 1
         ):
             d /= 2
         return d
 
     # move endpoints off roots before bisection starts
-    if _eval(sf, lo) == 0:
+    if not _value_sign(sf, lo):
         emit_exact_if_inside(lo)
         lo = lo + gap_around(lo, (hi - lo) / 4)
-    if _eval(sf, hi) == 0:
+    if not _value_sign(sf, hi):
         emit_exact_if_inside(hi)
         hi = hi - gap_around(hi, (hi - lo) / 4)
     # bisect with an explicit stack: close roots need one level per bit of
@@ -204,7 +267,7 @@ def sturm_isolate(
             out.append(IsolatingInterval(a, b, frozen))
             continue
         mid = (a + b) / 2
-        if _eval(sf, mid) == 0:
+        if not _value_sign(sf, mid):
             emit_exact_if_inside(mid)
             d = gap_around(mid, (b - a) / 4)
             pending += [(a, mid - d), (mid + d, b)]
@@ -222,18 +285,27 @@ def refine_root(interval: IsolatingInterval, precision: Fraction | float) -> Iso
     lo, hi = interval.lo, interval.hi
     if interval.is_exact or hi - lo < precision:
         return interval
-    coeffs = list(interval.poly)
-    sign_lo = _sign(_eval(coeffs, lo))
-    while hi - lo >= precision:
-        mid = (lo + hi) / 2
-        value = _eval(coeffs, mid)
-        if value == 0:
-            return IsolatingInterval(mid, mid, interval.poly)
-        if _sign(value) == sign_lo:
-            lo = mid
+    coeffs = _integer(interval.poly)
+    # [lo, hi] = [a, b] / den; each halving doubles den, so the midpoint is
+    # (a + b) / den afterwards and no step takes a gcd
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    powers = _powers(den, len(coeffs) - 1)
+    sign_lo = _sign(_scaled_value(coeffs, a, powers))
+    while (b - a) * precision.denominator >= precision.numerator * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        powers = [qk << j for j, qk in enumerate(powers)]
+        sign = _sign(_scaled_value(coeffs, mid, powers))
+        if not sign:
+            x = Fraction(mid, den)
+            return IsolatingInterval(x, x, interval.poly)
+        if sign == sign_lo:
+            a = mid
         else:
-            hi = mid
-    return IsolatingInterval(lo, hi, interval.poly)
+            b = mid
+    return IsolatingInterval(Fraction(a, den), Fraction(b, den), interval.poly)
 
 
 def interval_eval(coeffs: Coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from flagein.errors import DomainError
 from flagein.polyalg.groebner import (
+    _MIN_FIELD_BITS,
     GroebnerBudget,
+    GroebnerStats,
+    _fglm,
+    _Monomials,
+    _poly_from,
+    _poly_to,
     buchberger,
     reduce_poly,
     s_polynomial,
@@ -345,3 +352,117 @@ def test_ansatz_elimination_is_lex_basis(ansatz_elimination, ansatz_generators):
 def test_buchberger_on_saturated_ansatz_is_stable(ansatz_elimination):
     basis = buchberger(ansatz_elimination.generators, ansatz_elimination.order)
     assert basis.generators == ansatz_elimination.generators
+
+
+def _primitive_integer(terms):
+    """Coprime integer coefficients with a positive lex-leading one."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return {e: F(c // g) for e, c in ints.items()}
+
+
+def _assert_lex_basis_matches_sympy(gens, basis, **options):
+    """Our reduced lex basis is sympy's, generator for generator, once both
+    are scaled to primitive integer generators with a positive lead."""
+    sympy = pytest.importorskip("sympy")
+    names = gens[0].vars
+    syms = sympy.symbols(names)
+    table = dict(zip(names, syms))
+    exprs = [sympy.sympify(format_polynomial(g).replace("^", "**"), locals=table) for g in gens]
+    ours = [g.terms for g in basis.generators]
+    assert [_primitive_integer(t) for t in ours] == ours
+    theirs = [
+        _primitive_integer({e: F(int(c.p), int(c.q)) for e, c in p.terms()})
+        for p in sympy.groebner(exprs, *syms, order="lex", **options).polys
+    ]
+    assert sorted(sorted(t.items()) for t in ours) == sorted(sorted(t.items()) for t in theirs)
+
+
+XYZ = ("x", "y", "z")
+
+
+def _random_terms(rng, bounds):
+    """A few terms with exponents below *bounds* and small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = tuple(rng.randrange(b) for b in bounds)
+        terms[exp] = terms.get(exp, F(0)) + F(rng.randint(-5, 5), rng.randint(1, 3))
+    return {e: c for e, c in terms.items() if c}
+
+
+def _triangular_ideal(rng):
+    """x^a + p(x, y, z), y^b + q(y, z), z^c + r(z) with each tail below its
+    lead's degree in that variable: zero-dimensional, a lex basis as given
+    but far from the reduced grevlex one."""
+    a, b, c = (rng.randint(1, 3) for _ in range(3))
+    gens = []
+    for lead, bounds in (((a, 0, 0), (a, b, c)), ((0, b, 0), (1, b, c)), ((0, 0, c), (1, 1, c))):
+        terms = _random_terms(rng, bounds)
+        terms[lead] = F(rng.choice([-3, -1, 1, 2]))
+        gens.append(MultiPoly(XYZ, terms))
+    return gens
+
+
+def _pure_power_ideal(rng):
+    """v^d plus terms of lower total degree for each variable v: the grevlex
+    leads are the pure powers, so the ideal is zero-dimensional."""
+    gens = []
+    for i in range(3):
+        d = rng.randint(2, 3)
+        terms = {e: c for e, c in _random_terms(rng, (d, d, d)).items() if sum(e) < d}
+        lead = tuple(d if k == i else 0 for k in range(3))
+        terms[lead] = F(1)
+        gens.append(MultiPoly(XYZ, terms))
+    return gens
+
+
+@pytest.mark.parametrize("make", [_triangular_ideal, _pure_power_ideal])
+def test_fglm_bases_match_sympy(make):
+    rng = random.Random(1993)
+    for _ in range(12):
+        gens = make(rng)
+        basis = buchberger(gens, TermOrder("lex", XYZ))
+        assert basis.complete
+        assert basis.stats.conversion == "grevlex+fglm"
+        _assert_lex_basis_matches_sympy(gens, basis)
+
+
+def test_fglm_on_the_saturation_input_matches_sympy(ansatz_generators):
+    # the Rabinowitsch lift that saturate builds for the x6 != 1 branch
+    names = ("t", "x2", "x3", "x6")
+    lifted = [g.with_variables(names) for g in ansatz_generators]
+    lifted.append(parse_polynomial("t*x2*x3*x6^2 - t*x2*x3*x6 - 1", names))
+    basis = buchberger(lifted, TermOrder("lex", names))
+    assert basis.complete
+    assert basis.stats.conversion == "grevlex+fglm"
+    assert _stats_tuple(basis) == (121, 33, 4, 775)
+    # sympy's default Buchberger takes several times longer on this ideal
+    # than its F5B; both return the same reduced basis
+    _assert_lex_basis_matches_sympy(lifted, basis, method="f5b")
+
+
+@pytest.mark.parametrize("y_degree, fits", [(4, True), (5, False)])
+def test_fglm_staircase_at_the_field_width(y_degree, fits):
+    # A 3-bit grevlex field holds total degrees up to 7.  The staircase of
+    # x^4 + y, y^b + x ends at x^3 y^(b-1); multiplying it by x reaches total
+    # degree b + 3, inside the field for b = 4 and one past it for b = 5.  (The
+    # public functions size the field from the input degrees, which keeps any
+    # staircase FGLM accepts inside it, so this builds the ring directly.)
+    names = ("x", "y")
+    gens = [parse_polynomial(text, names) for text in ("x^4 + y", f"y^{y_degree} + x")]
+    ring = _Monomials(TermOrder("grevlex", names), 3)
+    target = _Monomials(TermOrder("lex", names), _MIN_FIELD_BITS)
+    basis = [_poly_from(g, ring) for g in gens]  # coprime leads: already reduced
+    stats = GroebnerStats()
+    if not fits:
+        with pytest.raises(DomainError):
+            _fglm(basis, ring, target, stats)
+        return
+    lex = _fglm(basis, ring, target, stats)
+    assert stats.conversion == "grevlex+fglm"
+    # the lex staircase is y^0..y^15, well past total degree 7: only its
+    # normal forms, which stay under the grevlex staircase, meet the 3-bit ring
+    assert [_poly_to(p, target) for p in lex] == buchberger(gens, TermOrder("lex", names)).generators

@@ -168,6 +168,150 @@ def _eval(coeffs, x):
     return total
 
 
+@st.composite
+def _rational_coefficients(draw):
+    """Dense coefficients with denominators up to 2^20 and a non-zero lead."""
+    numerators = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    numerators.append(draw(st.integers(-9, 9).filter(bool)))
+    denominators = draw(st.lists(st.integers(1, 2**20), min_size=len(numerators), max_size=len(numerators)))
+    return [F(n, d) for n, d in zip(numerators, denominators)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_coefficients())
+def test_random_rational_polynomials_certified(coeffs):
+    # sign tests clear the denominators first; the Fraction reference below
+    # evaluates the square-free part as it stands
+    intervals = sturm_isolate(coeffs)
+    for a, b in zip(intervals, intervals[1:]):
+        assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
+    sf = square_free_part(coeffs)
+    assert all(v.denominator == 1 for v in sf)
+    assert len(intervals) == root_count(sturm_chain(sf), "-inf", "+inf")
+    assert len(intervals) == root_count(sturm_chain(coeffs), "-inf", "+inf")
+    for iv in intervals:
+        assert iv.poly == tuple(sf)
+        if iv.is_exact:
+            assert _eval(sf, iv.lo) == 0
+        else:
+            assert _eval(sf, iv.lo) * _eval(sf, iv.hi) < 0
+
+
+def _from_roots(roots, lead):
+    return [lead * c for c in _poly_from_roots(roots)]
+
+
+# Outputs of the Fraction implementation of the root layer, recorded before
+# its sign tests moved to integers: the intervals (and the refined ones) must
+# not move by one bit, nor may the square-free factor each interval carries.
+_PINNED_POLYS = {
+    "deg14": dense(DEG14),
+    "rational": [F(-3, 7), F(5, 11), F(2, 3), F(-1, 5), F(7, 13)],
+    "on_grid": _from_roots([F(0), F(1, 2), F(3, 4), F(-1)], F(-5, 3)),
+    "repeated": _from_roots([F(1, 3), F(1, 3), F(-2, 5), F(-2, 5), F(-2, 5), F(2)], F(-7, 9)),
+    # -x^4/5 + x: the chain drops from degree 3 to 1 under a negative lead,
+    # where a pseudo-remainder scaled by lc^3 instead of |lc|^3 flips a sign
+    "sparse": [F(0), F(1), F(0), F(0), F(-1, 5)],
+}
+_PINNED_SQUARE_FREE = {
+    "deg14": tuple(reversed(DEG14)),
+    "rational": (-6435, 6825, 10010, -3003, 8085),
+    "on_grid": (0, -3, 7, 2, -8),
+    "repeated": (-4, 4, 29, -15),
+    "sparse": (0, 5, 0, 0, -1),
+}
+_PINNED_INTERVALS = [
+    # (polynomial, range, [(lo, hi), ...])
+    ("deg14", None, [("0", "371502239/232906752"), ("371502239/232906752", "371502239/116453376")]),
+    ("deg14", (F(0), None), [("0", "371502239/232906752"), ("371502239/232906752", "371502239/116453376")]),
+    ("rational", None, [("-47/21", "0"), ("0", "47/21")]),
+    # the root 0 is a bisection midpoint
+    ("on_grid", None, [("-15/8", "-15/32"), ("0", "0"), ("15/32", "165/256"), ("165/256", "105/128")]),
+    # roots on both range endpoints, which are open
+    ("on_grid", (F(-1), F(3, 4)), [("-9/16", "3/256"), ("3/256", "75/128")]),
+    ("on_grid", (F(0), F(1)), [("1/4", "5/8"), ("5/8", "1")]),
+    ("on_grid", (F(-1), F(1)), [("-1/2", "1/4"), ("1/4", "5/8"), ("5/8", "1")]),
+    ("repeated", None, [("-44/15", "0"), ("0", "22/15"), ("22/15", "44/15")]),
+    ("sparse", None, [("0", "0"), ("3/2", "6")]),
+    ("sparse", (F(0), None), [("3/2", "6")]),
+]
+_PINNED_REFINED = [
+    # (polynomial, range, precision, [(lo, hi), ...])
+    (
+        "deg14",
+        (F(0), None),
+        F(1, 10**40),
+        [
+            (
+                "1257979257925734957747340397152556392548429999511/1690753297971797724098672016559108175937411219456",
+                "943484443444301218310505297864417294411415375193/1268064973478848293074004012419331131953058414592",
+            ),
+            (
+                "37355224126217865144608022618963228386055550063/20873497505824663260477432303198866369597669376",
+                "2269329865667735307534937374102016124452967541887/1268064973478848293074004012419331131953058414592",
+            ),
+        ],
+    ),
+    (
+        "rational",
+        None,
+        F(1, 10**20),
+        [
+            ("-5080523207641222237261/6198106008766409342976", "-2540261603820611118607/3099053004383204671488"),
+            ("3226344534888550591909/6198106008766409342976", "268862044574045882663/516508834063867445248"),
+        ],
+    ),
+    (
+        "on_grid",
+        None,
+        F(1, 10**12),
+        [
+            ("-70368744177705/70368744177664", "-17592186044415/17592186044416"),
+            ("0", "0"),
+            ("1099511627775/2199023255552", "35184372088845/70368744177664"),
+            ("26388279066615/35184372088832", "52776558133275/70368744177664"),
+        ],
+    ),
+    (
+        "repeated",
+        None,
+        F(1, 10**12),
+        [
+            ("-6597069766661/16492674416640", "-219902325555/549755813888"),
+            ("366503875925/1099511627776", "2748779069443/8246337208320"),
+            ("4123168604159/2061584302080", "10995116277761/5497558138880"),
+        ],
+    ),
+    ("sparse", None, F(1, 10**12), [("0", "0"), ("30082214985405/17592186044416", "15041107492707/8796093022208")]),
+]
+
+
+@pytest.mark.parametrize("name, count", [("deg14", 2), ("rational", 2), ("on_grid", 4), ("repeated", 3), ("sparse", 2)])
+def test_sturm_counts_are_pinned(name, count):
+    assert root_count(sturm_chain(_PINNED_POLYS[name]), "-inf", "+inf") == count
+
+
+def _pinned(name, bounds):
+    sf = tuple(F(v) for v in _PINNED_SQUARE_FREE[name])
+    return repr([IsolatingInterval(F(lo), F(hi), sf) for lo, hi in bounds])
+
+
+@pytest.mark.parametrize("name, rng, bounds", _PINNED_INTERVALS)
+def test_isolation_output_is_pinned(name, rng, bounds):
+    assert repr(sturm_isolate(_PINNED_POLYS[name], rng=rng)) == _pinned(name, bounds)
+
+
+@pytest.mark.parametrize("name, rng, precision, bounds", _PINNED_REFINED)
+def test_refinement_output_is_pinned(name, rng, precision, bounds):
+    refined = [refine_root(iv, precision) for iv in sturm_isolate(_PINNED_POLYS[name], rng=rng)]
+    assert repr(refined) == _pinned(name, bounds)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_POLYS))
+def test_square_free_part_is_pinned(name):
+    assert repr(square_free_part(_PINNED_POLYS[name])) == repr([F(v) for v in _PINNED_SQUARE_FREE[name]])
+
+
 def test_interval_eval_encloses_true_range():
     coeffs = dense(DEG14)
     lo, hi = interval_eval(coeffs, F(74, 100), F(75, 100))
