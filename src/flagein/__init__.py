@@ -1,35 +1,6 @@
 """Invariant Einstein metrics on full flag manifolds K/T: exact root-system
 data, Ricci curvature, Groebner-based case analysis, certified real-root
-isolation, and a numeric multi-start oracle."""
+isolation, and a numeric multi-start oracle.
 
-__version__ = "0.1.0"
-
-from .rootsys import root_system, positive_roots, killing_form
-from .isotropy import triple_tensor
-from .curvature import InvariantMetric, ricci, einstein_residual, kaehler_einstein_metric
-from .solver import (
-    build_system,
-    classify,
-    classify_full,
-    newton_oracle,
-    solve_general_case,
-    solve_symmetric_ansatz,
-)
-
-__all__ = [
-    "__version__",
-    "root_system",
-    "positive_roots",
-    "killing_form",
-    "triple_tensor",
-    "InvariantMetric",
-    "ricci",
-    "einstein_residual",
-    "kaehler_einstein_metric",
-    "build_system",
-    "classify",
-    "classify_full",
-    "newton_oracle",
-    "solve_general_case",
-    "solve_symmetric_ansatz",
-]
+The package exports nothing; the ``flagein`` command (``flagein.cli``) is
+its entry point, and code imports the submodules directly."""

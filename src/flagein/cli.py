@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import replace
@@ -44,23 +43,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"environment variable {name} must be an integer") from None
-
-
 def _budget_overrides(args) -> dict[str, int]:
-    """GroebnerBudget fields set by a flag or an environment variable; the
-    environment variable wins."""
-    limits = {
-        "max_pairs": _env_int("FLAGEIN_GB_MAX_PAIRS", args.budget_pairs),
-        "max_coeff_bits": _env_int("FLAGEIN_GB_MAX_BITS", args.budget_bits),
-    }
+    """GroebnerBudget fields set by --budget-pairs and --budget-bits."""
+    limits = {"max_pairs": args.budget_pairs, "max_coeff_bits": args.budget_bits}
     return {name: value for name, value in limits.items() if value is not None}
 
 
@@ -195,7 +180,7 @@ def cmd_einstein(args, out) -> int:
         raise ConfigurationError("precision must lie in (0, 1)")
     if args.starts < 1:
         raise ConfigurationError("starts must be >= 1")
-    # a given flag or environment variable overrides that field of each branch's budget
+    # a given budget flag overrides that field of each branch's budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
     if args.mode == "symmetric":

@@ -8,23 +8,19 @@ squared bracket constant, computed exactly from root strings:
     N^2(alpha, beta) = q (p + 1) / 2 * Q(alpha, alpha)
 
 where beta + k alpha runs over roots for -p <= k <= q.
+
+``triple_tensor`` derives the tensor from the spec on every call; nothing is
+memoized at module level, so a caller that needs it repeatedly builds it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DomainError
-from .rootsys import (
-    KillingForm,
-    Root,
-    RootSystemSpec,
-    all_roots,
-    killing_form,
-    positive_roots,
-)
+from .rootsys import KillingForm, Root, RootSystemSpec, killing_form, positive_roots
 
 
 @dataclass(frozen=True)
@@ -101,12 +97,11 @@ class TripleTensor:
         ]
 
 
-@lru_cache(maxsize=None)
 def triple_tensor(spec: RootSystemSpec) -> TripleTensor:
     """All nonzero triples {i, j, i+j} with value 2 N^2(alpha_i, alpha_j)."""
     pos = positive_roots(spec)
     form = killing_form(spec)
-    roots = frozenset(r.coeffs for r in all_roots(spec))
+    roots = frozenset(c for r in pos for c in (r.coeffs, (-r).coeffs))
     index = {r.coeffs: n for n, r in enumerate(pos)}
     entries = {}
     for i in range(len(pos)):

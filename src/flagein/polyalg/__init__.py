@@ -1,31 +1,3 @@
 """Exact polynomial algebra: sparse multivariate arithmetic over rationals,
 Buchberger Groebner bases with elimination and saturation, and certified
 real-root isolation via Sturm sequences."""
-
-from .poly import LaurentPoly, MultiPoly, TermOrder, format_polynomial, parse_polynomial
-from .groebner import (
-    GroebnerBasis,
-    GroebnerBudget,
-    buchberger,
-    reduce_poly,
-    s_polynomial,
-    saturate,
-)
-from .realroots import IsolatingInterval, refine_root, sturm_isolate
-
-__all__ = [
-    "LaurentPoly",
-    "MultiPoly",
-    "TermOrder",
-    "format_polynomial",
-    "parse_polynomial",
-    "GroebnerBasis",
-    "GroebnerBudget",
-    "buchberger",
-    "reduce_poly",
-    "s_polynomial",
-    "saturate",
-    "IsolatingInterval",
-    "refine_root",
-    "sturm_isolate",
-]

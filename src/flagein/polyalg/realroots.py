@@ -149,12 +149,9 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _value_sign(c: IntCoeffs, x: Fraction) -> int:
-    return _sign(_scaled_value(c, x.numerator, _powers(x.denominator, len(c) - 1)))
-
-
-def _variations(chain: list[IntCoeffs], x) -> int:
-    """Sign variations at a point; x may be a rational or '+inf' / '-inf'."""
+def _evaluate(chain: list[IntCoeffs], x) -> tuple[int, int]:
+    """The sign of chain[0] and the chain's sign variations at a point, from
+    one evaluation of the chain; x may be a rational or '+inf' / '-inf'."""
     if x == "+inf":
         values = [poly[-1] for poly in chain]
     elif x == "-inf":
@@ -163,7 +160,7 @@ def _variations(chain: list[IntCoeffs], x) -> int:
         p, powers = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
         values = [_scaled_value(poly, p, powers) for poly in chain]
     signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return _sign(values[0]), sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ def _as_coeffs(p: MultiPoly | Coeffs) -> Coeffs:
 
 def root_count(chain: list[IntCoeffs], lo, hi) -> int:
     """Distinct roots in (lo, hi] of the polynomial whose chain this is."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _evaluate(chain, lo)[1] - _evaluate(chain, hi)[1]
 
 
 def sturm_isolate(
@@ -236,43 +233,51 @@ def sturm_isolate(
         if (lo_req is None or x > lo_req) and (hi_req is None or x < hi_req):
             out.append(IsolatingInterval(x, x, frozen))
 
-    def gap_around(x: Fraction, radius: Fraction) -> Fraction:
-        """Radius d <= radius with x the only root in [x-d, x+d], endpoints nonzero."""
+    def gap_around(x: Fraction, radius: Fraction) -> tuple[Fraction, int, int]:
+        """Radius d <= radius with x the only root in [x-d, x+d], endpoints
+        nonzero, and the chain's variations at x-d and at x+d."""
         d = radius
-        while (
-            not _value_sign(sf, x - d)
-            or not _value_sign(sf, x + d)
-            or root_count(chain, x - d, x + d) != 1
-        ):
+        while True:
+            sign_lo, v_lo = _evaluate(chain, x - d)
+            if sign_lo:
+                sign_hi, v_hi = _evaluate(chain, x + d)
+                if sign_hi and v_lo - v_hi == 1:
+                    return d, v_lo, v_hi
             d /= 2
-        return d
 
     # move endpoints off roots before bisection starts
-    if not _value_sign(sf, lo):
+    sign, v_lo = _evaluate(chain, lo)
+    if not sign:
         emit_exact_if_inside(lo)
-        lo = lo + gap_around(lo, (hi - lo) / 4)
-    if not _value_sign(sf, hi):
+        d, _, v_lo = gap_around(lo, (hi - lo) / 4)
+        lo = lo + d
+    sign, v_hi = _evaluate(chain, hi)
+    if not sign:
         emit_exact_if_inside(hi)
-        hi = hi - gap_around(hi, (hi - lo) / 4)
+        d, v_hi, _ = gap_around(hi, (hi - lo) / 4)
+        hi = hi - d
     # bisect with an explicit stack: close roots need one level per bit of
     # their separation, far deeper than the interpreter's recursion limit
-    # allows.  Every pending (a, b) has sf(a) != 0 and sf(b) != 0.
-    pending = [(lo, hi)] if lo < hi else []
+    # allows.  Every pending (a, va, b, vb) has sf(a) != 0 and sf(b) != 0 and
+    # carries the chain's variations va at a and vb at b, so each point is
+    # evaluated once.
+    pending = [(lo, v_lo, hi, v_hi)] if lo < hi else []
     while pending:
-        a, b = pending.pop()
-        count = root_count(chain, a, b)
+        a, va, b, vb = pending.pop()
+        count = va - vb
         if count == 0:
             continue
         if count == 1:
             out.append(IsolatingInterval(a, b, frozen))
             continue
         mid = (a + b) / 2
-        if not _value_sign(sf, mid):
+        sign, vm = _evaluate(chain, mid)
+        if not sign:
             emit_exact_if_inside(mid)
-            d = gap_around(mid, (b - a) / 4)
-            pending += [(a, mid - d), (mid + d, b)]
+            d, v_left, v_right = gap_around(mid, (b - a) / 4)
+            pending += [(a, va, mid - d, v_left), (mid + d, v_right, b, vb)]
         else:
-            pending += [(a, mid), (mid, b)]
+            pending += [(a, va, mid, vm), (mid, vm, b, vb)]
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

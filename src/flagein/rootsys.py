@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError
 
@@ -126,7 +125,6 @@ def _cartan_pairing(spec: RootSystemSpec, beta: Root, i: int) -> int:
     return sum(c * spec.cartan_matrix[i][j] for j, c in enumerate(beta.coeffs))
 
 
-@lru_cache(maxsize=None)
 def positive_roots(spec: RootSystemSpec) -> tuple[Root, ...]:
     """All positive roots, ordered by (height, then reverse-lex coefficients).
 
@@ -190,7 +188,6 @@ class KillingForm:
         return self.pair_roots(a, a)
 
 
-@lru_cache(maxsize=None)
 def killing_form(spec: RootSystemSpec) -> KillingForm:
     """Symmetrize the Cartan matrix, then fix the scale by the identity
     sum_{beta in R} Q(alpha, beta)^2 = Q(alpha, alpha)."""
@@ -211,8 +208,10 @@ def killing_form(spec: RootSystemSpec) -> KillingForm:
         raise ConfigurationError("Cartan matrix is not connected")
     gram0 = [[a[i][j] * lengths[i] / 2 for j in range(rank)] for i in range(rank)]
     form0 = KillingForm(gram0)
-    alpha = positive_roots(spec)[0]
-    total = sum(form0.pair_roots(alpha, beta) ** 2 for beta in all_roots(spec))
+    pos = positive_roots(spec)
+    alpha = pos[0]
+    # beta and -beta contribute the same square
+    total = 2 * sum(form0.pair_roots(alpha, beta) ** 2 for beta in pos)
     scale = form0.length_sq(alpha) / total
     gram = tuple(tuple(scale * v for v in row) for row in gram0)
     return KillingForm(gram=gram)
@@ -227,18 +226,6 @@ def weyl_reflect(value: Root, mirror: Root, form: KillingForm) -> Root:
     return Root(tuple(c - k * m for c, m in zip(value.coeffs, mirror.coeffs)))
 
 
-def _fold_to_positive(r: Root) -> Root:
-    return r if r.is_positive else -r
-
-
-def _reflection_permutation(spec: RootSystemSpec, mirror: Root) -> tuple[int, ...]:
-    form = killing_form(spec)
-    pos = positive_roots(spec)
-    index = {r.coeffs: k for k, r in enumerate(pos)}
-    return tuple(index[_fold_to_positive(weyl_reflect(r, mirror, form)).coeffs] for r in pos)
-
-
-@lru_cache(maxsize=None)
 def weyl_orbit_permutations(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
     """The group of positive-root index permutations induced by the Weyl group.
 
@@ -247,10 +234,13 @@ def weyl_orbit_permutations(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]
     and closed under composition.  Permutations are tuples sigma with
     sigma[i] = index of the folded image of the i-th positive root.
     """
-    rank = spec.rank
-    simple = [Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)]
-    generators = [_reflection_permutation(spec, s) for s in simple]
-    identity = tuple(range(len(positive_roots(spec))))
+    pos = positive_roots(spec)
+    form = killing_form(spec)
+    # a root and its negative fold to the index of the positive one
+    index = {c: k for k, r in enumerate(pos) for c in (r.coeffs, (-r).coeffs)}
+    # the simple roots lead the height order
+    generators = [tuple(index[weyl_reflect(r, s, form).coeffs] for r in pos) for s in pos[: spec.rank]]
+    identity = tuple(range(len(pos)))
     group = {identity}
     frontier = [identity]
     while frontier:

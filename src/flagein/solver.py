@@ -31,15 +31,23 @@ from .errors import ConfigurationError, DomainError
 from .isotropy import triple_tensor
 from .polyalg.groebner import GroebnerBudget, saturate
 from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_polynomial
-from .polyalg.realroots import divide, interval_eval, refine_root, sturm_isolate
-from .rootsys import RootSystemSpec, positive_roots, root_system, weyl_orbit_permutations
+from .polyalg.realroots import (
+    divide,
+    interval_eval,
+    refine_root,
+    root_count,
+    square_free_part,
+    sturm_chain,
+    sturm_isolate,
+)
+from .rootsys import RootSystemSpec, positive_roots, weyl_orbit_permutations
 
 
 @dataclass(frozen=True)
 class EinsteinSystem:
     """Cleared polynomial system r_i = r_j over the free metric variables."""
 
-    group: str
+    spec: RootSystemSpec
     variables: tuple[str, ...]
     polynomials: tuple[MultiPoly, ...]
     assignments: dict[str, Fraction]
@@ -152,7 +160,7 @@ def build_system(
         clearings.append((shift, content))
         kept_pairs.append((i, j))
     return EinsteinSystem(
-        group=spec.type_label,
+        spec=spec,
         variables=free,
         polynomials=tuple(polys),
         assignments=assignments,
@@ -186,12 +194,13 @@ def _linear_solve_on_interval(
     return min(candidates), max(candidates)
 
 
-def canonical_vector(spec: RootSystemSpec, values: tuple) -> tuple:
+def canonical_vector(permutations: tuple[tuple[int, ...], ...], values: tuple) -> tuple:
     """Scale so the largest entry is 1, then take the lexicographically smallest
-    vector over the Weyl-induced permutations."""
+    vector over *permutations*, the ``weyl_orbit_permutations`` of the group;
+    a caller with many vectors derives them once."""
     top = max(values)
     scaled = tuple(v / top for v in values)
-    return min(apply_permutation(sigma, scaled) for sigma in weyl_orbit_permutations(spec))
+    return min(apply_permutation(sigma, scaled) for sigma in permutations)
 
 
 def _class_id(canonical: tuple) -> str:
@@ -221,7 +230,8 @@ def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> Solutio
     """Merge solutions into isometry classes (scale + Weyl orbit); one
     representative per class, exact representatives preferred, under the
     class id of the class's first member."""
-    canons = [tuple(float(v) for v in canonical_vector(spec, sol.metric.x)) for sol in solutions]
+    permutations = weyl_orbit_permutations(spec)
+    canons = [tuple(float(v) for v in canonical_vector(permutations, sol.metric.x)) for sol in solutions]
     classes: list[tuple[tuple, EinsteinSolution]] = []
     for group in _group(canons):
         members = [solutions[i] for i in group]
@@ -241,7 +251,7 @@ def _solution_from_metric(spec: RootSystemSpec, metric: InvariantMetric, provena
         metric=metric,
         k=k,
         kaehler=kaehler,
-        isometry_class=_class_id(tuple(float(v) for v in canonical_vector(spec, metric.x))),
+        isometry_class=_class_id(canonical_vector(weyl_orbit_permutations(spec), metric.x)),
         provenance=provenance,
         residual=residual,
     )
@@ -369,7 +379,8 @@ def _solve_branch(
         remaining, rem = divide(remaining, [-root, Fraction(1)])
         if rem:
             raise DomainError(f"expected rational root {root} missing from the elimination polynomial")
-    record.real_roots = len(sturm_isolate(remaining))
+    # Sturm variations at -inf and +inf count the real roots without isolating them
+    record.real_roots = root_count(sturm_chain(square_free_part(remaining)), "-inf", "+inf")
     positive = sturm_isolate(remaining, rng=(Fraction(0), None))
     record.positive_roots = len(positive)
 
@@ -455,8 +466,8 @@ def newton_oracle(
 
     if starts < 1:
         raise ConfigurationError("starts must be >= 1")
-    spec = root_system(system.group)
-    result = SolutionSet(group=system.group, normalization=_normalization_text(system))
+    spec = system.spec
+    result = SolutionSet(group=spec.type_label, normalization=_normalization_text(system))
     dim = len(system.variables)
     if dim == 0 or not system.polynomials:
         values = system.metric_values({})
@@ -599,6 +610,7 @@ def newton_oracle(
             found.append(tuple(float(v) for v in row))
 
     triples = triple_tensor(spec)
+    permutations = weyl_orbit_permutations(spec)
     metrics: list[InvariantMetric] = []
     canons: list[tuple[float, ...]] = []
     spurious = 0
@@ -609,7 +621,7 @@ def newton_oracle(
             spurious += 1
             continue
         metrics.append(metric)
-        canons.append(tuple(float(v) for v in canonical_vector(spec, metric.x)))
+        canons.append(tuple(float(v) for v in canonical_vector(permutations, metric.x)))
     groups = _group(canons)
     # each class is represented by its first point
     result.solutions = [_solution_from_metric(spec, metrics[group[0]], "numeric") for group in groups]

@@ -148,6 +148,17 @@ def test_einstein_symmetric_budget_overrun_still_reports(capsys):
     assert payload["solutions"] == []
 
 
+def test_budget_environment_variables_are_ignored(capsys, monkeypatch):
+    """Only --budget-pairs and --budget-bits set a budget; the environment does not."""
+    monkeypatch.setenv("FLAGEIN_GB_MAX_PAIRS", "1")
+    monkeypatch.setenv("FLAGEIN_GB_MAX_BITS", "1")
+    code, out, _ = run(capsys, "einstein", "G2", "--mode", "symmetric", "--format", "json")
+    assert code == EXIT_OK
+    assert out == (DATA / "g2_symmetric_report.json").read_text()
+    code, _, _ = run(capsys, "einstein", "G2", "--mode", "symmetric", "--budget-pairs", "50", "--format", "json")
+    assert code == EXIT_BUDGET
+
+
 def test_einstein_general_uses_the_branch_budget(capsys):
     """Without budget flags the general branch runs under its own 250 / 2500."""
     code, out, _ = run(capsys, "einstein", "G2", "--mode", "general", "--format", "json")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagein.errors import DomainError
+from flagein.polyalg import realroots
 from flagein.polyalg.poly import MultiPoly, parse_polynomial
 from flagein.polyalg.realroots import (
     IsolatingInterval,
@@ -299,6 +300,22 @@ def _pinned(name, bounds):
 @pytest.mark.parametrize("name, rng, bounds", _PINNED_INTERVALS)
 def test_isolation_output_is_pinned(name, rng, bounds):
     assert repr(sturm_isolate(_PINNED_POLYS[name], rng=rng)) == _pinned(name, bounds)
+
+
+@pytest.mark.parametrize("name, rng, bounds", _PINNED_INTERVALS)
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch, name, rng, bounds):
+    # each evaluation gives both the sign of the square-free part and the
+    # variation count; interval endpoints carry their counts to the children
+    points = []
+    evaluate = realroots._evaluate
+
+    def counted(chain, x):
+        points.append(x)
+        return evaluate(chain, x)
+
+    monkeypatch.setattr(realroots, "_evaluate", counted)
+    assert repr(sturm_isolate(_PINNED_POLYS[name], rng=rng)) == _pinned(name, bounds)
+    assert points and len(points) == len(set(points))
 
 
 @pytest.mark.parametrize("name, rng, precision, bounds", _PINNED_REFINED)

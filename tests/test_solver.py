@@ -475,10 +475,11 @@ def test_classify_keeps_distinct_classes(g2, ansatz_result):
 
 def test_canonical_vector_is_permutation_invariant(g2):
     values = (1.0, 0.2762, 1.0347, 1.0347, 1.0, 1.7896)
-    base = canonical_vector(g2, values)
-    for sigma in weyl_orbit_permutations(g2):
+    permutations = weyl_orbit_permutations(g2)
+    base = canonical_vector(permutations, values)
+    for sigma in permutations:
         moved = apply_permutation(sigma, values)
-        assert canonical_vector(g2, moved) == base
+        assert canonical_vector(permutations, moved) == base
 
 
 def test_solution_set_serialization(ansatz_result):
