@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .isotropy import TripleTensor, triple_tensor
 from .polyalg.poly import LaurentPoly, content
-from .rootsys import Root, RootSystemSpec, killing_form, positive_roots, weyl_orbit_permutations
+from .rootsys import Root, RootSystemSpec, killing_form, positive_roots
 
 Scalar = Fraction | float
 
@@ -134,15 +134,20 @@ def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
 _KAEHLER_TOL = 1e-8
 
 
-def is_kaehler(metric: InvariantMetric, spec: RootSystemSpec) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether some Weyl-induced permutation of the metric is proportional to
-    the Kaehler-Einstein metric; returns the witnessing permutation."""
+def is_kaehler(
+    metric: InvariantMetric,
+    reference: InvariantMetric,
+    permutations: tuple[tuple[int, ...], ...],
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether some permutation of the metric in *permutations*, the group's
+    ``weyl_orbit_permutations``, is proportional to *reference*, its
+    ``kaehler_einstein_metric``; returns the witnessing permutation.  A caller
+    with many metrics derives both once."""
     metric.require_positive()
-    reference = kaehler_einstein_metric(spec).x
     exact = metric.is_exact
-    for sigma in weyl_orbit_permutations(spec):
+    for sigma in permutations:
         permuted = [metric.x[sigma[i]] for i in range(len(sigma))]
-        ratios = [p / q for p, q in zip(permuted, reference)]
+        ratios = [p / q for p, q in zip(permuted, reference.x)]
         if exact:
             if all(v == ratios[0] for v in ratios):
                 return True, sigma

@@ -13,9 +13,14 @@ coefficients, so identical inputs give bit-identical output.
 All arithmetic runs in one integer kernel (Monagan-Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): each monomial is packed into one int whose integer order is the term
-order, coefficients are ints, and reduction is fraction-free.  The public
-functions take and return MultiPoly; they convert once on entry and once on
-exit.
+order, coefficients are ints, and reduction is fraction-free.  A reduction
+holds its coefficients in one list indexed through a monomial -> slot dict,
+so rescaling the whole polynomial is one list pass, and divides out their
+content whenever the scale's bit length has doubled (at least every 64
+bits).  A pair loop or an FGLM conversion only ever appends to its reducers,
+so it remembers, per monomial, how far the search for a dividing leading
+term got and resumes there.  The public functions take and return
+MultiPoly; they convert once on entry and once on exit.
 
 A budget (pair count, coefficient bit size) turns runaway computations into a
 recoverable 'budget_exceeded' status instead of a hang.
@@ -238,14 +243,37 @@ def _s_poly(f: _Poly, g: _Poly, ring: _Monomials) -> dict[int, int]:
     return out
 
 
-# scale bits gained between two content removals in _reduce
+class _Reducers:
+    """Reducers that only grow by appending, with their divisor lookups
+    remembered.
+
+    A monomial's first reducer whose leading monomial divides it cannot
+    change when reducers are appended, and the leads that do not divide it
+    stay ruled out.  So *resume* maps each monomial looked up so far to the
+    index its next lookup starts from: that of its first divisor, or the
+    number of leads it had been checked against.  A pair loop or an FGLM
+    conversion keeps one for its whole run; other callers make one per
+    reduction.
+    """
+
+    def __init__(self, polys: list[_Poly]):
+        self.polys = list(polys)
+        self.leads = [p.lead for p in self.polys]  # scanned without unpacking each reducer
+        self.resume: dict[int, int] = {}
+
+    def append(self, p: _Poly) -> None:
+        self.polys.append(p)
+        self.leads.append(p.lead)
+
+
+# least scale growth, in bits, between two content removals in _reduce
 _CONTENT_STEP_BITS = 64
 
 
 def _reduce(
     work: dict[int, int],
     scale: int,
-    reducers: list[_Poly],
+    reducers: _Reducers,
     ring: _Monomials,
     max_bits: int | None = None,
 ) -> tuple[dict[int, int], int]:
@@ -256,6 +284,13 @@ def _reduce(
     with g = gcd(a, l), so W / scale stays the exact rational remainder.
     Returns (remainder, scale) with the remainder equal to remainder / scale.
 
+    The coefficients of W and of the remainder found so far share one list,
+    indexed through a monomial -> slot dict, so a rescale by l/g is one pass
+    over that list; a monomial whose coefficient cancels keeps its slot.  The
+    common content of the list and the scale is divided out each time the
+    scale's bit length has doubled since the last removal (by at least
+    _CONTENT_STEP_BITS).
+
     With *max_bits* set, a reduction factor a / (scale l) whose reduced
     numerator or denominator is longer than that aborts the reduction via
     _BudgetExceeded; a single reduction can otherwise run far past any
@@ -263,24 +298,31 @@ def _reduce(
     """
     div_guard = ring.div_guard
     overflow = ring.guard
+    polys, leads, resume = reducers.polys, reducers.leads, reducers.resume
+    count = len(leads)
+    slot = {m: i for i, m in enumerate(work)}
+    coeffs = list(work.values())
     heap = [-m for m in work]
     heapq.heapify(heap)
-    remainder: dict[int, int] = {}
-    content_at = scale.bit_length() + _CONTENT_STEP_BITS
-    leads = [r.lead for r in reducers]  # scanned without unpacking each reducer
+    remainder: list[tuple[int, int]] = []  # (monomial, slot), largest first
+    bits = scale.bit_length()
+    content_at = bits + max(bits, _CONTENT_STEP_BITS)
     while heap:
         m = -heapq.heappop(heap)
-        a = work.pop(m, 0)
+        i = slot[m]
+        a = coeffs[i]
         if not a:
             continue
         mg = m | div_guard
-        for lead in leads:
-            if (mg - lead) & div_guard == div_guard:
-                break
-        else:
-            remainder[m] = a
+        k = resume.get(m, 0)
+        while k < count and (mg - leads[k]) & div_guard != div_guard:
+            k += 1
+        resume[m] = k
+        if k == count:
+            remainder.append((m, i))
             continue
-        _, l, tail, top = reducers[leads.index(lead)]
+        coeffs[i] = 0
+        lead, l, tail, top = polys[k]
         shift = m - lead
         if (top + shift) & overflow:
             raise ring.overflow()
@@ -295,29 +337,24 @@ def _reduce(
                 raise _BudgetExceeded("coeff_bits")
         if lg != 1:
             scale *= lg
-            work = {k: v * lg for k, v in work.items()}
-            if remainder:
-                remainder = {k: v * lg for k, v in remainder.items()}
+            coeffs = [v * lg for v in coeffs]
         for t, c in tail:
             target = t + shift
-            old = work.get(target)
-            if old is None:
-                work[target] = -a * c
+            j = slot.get(target)
+            if j is None:
+                slot[target] = len(coeffs)
+                coeffs.append(-a * c)
                 heapq.heappush(heap, -target)
             else:
-                s = old - a * c
-                if s:
-                    work[target] = s
-                else:
-                    del work[target]
+                coeffs[j] -= a * c
         if scale.bit_length() > content_at:
-            h = gcd(scale, *work.values(), *remainder.values())
+            h = gcd(scale, *coeffs)
             if h > 1:
                 scale //= h
-                work = {k: v // h for k, v in work.items()}
-                remainder = {k: v // h for k, v in remainder.items()}
-            content_at = scale.bit_length() + _CONTENT_STEP_BITS
-    return remainder, scale
+                coeffs = [v // h for v in coeffs]
+            bits = scale.bit_length()
+            content_at = bits + max(bits, _CONTENT_STEP_BITS)
+    return {m: coeffs[i] for m, i in remainder}, scale
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
@@ -333,7 +370,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> MultiPoly:
     """Full multivariate division remainder of *poly* by *basis* under *order*."""
     ring = _Monomials(order, _field_bits([poly, *basis]))
-    reducers = [_poly_from(g, ring) for g in basis if not g.is_zero()]
+    reducers = _Reducers([_poly_from(g, ring) for g in basis if not g.is_zero()])
     work, den = _to_kernel(poly, ring)
     remainder, scale = _reduce(work, den, reducers, ring)
     return _from_kernel(remainder.items(), ring, scale)
@@ -351,7 +388,7 @@ def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = No
         for i, p in enumerate(current):
             others = result + current[i + 1:]
             if others:
-                remainder, _ = _reduce(_terms(p), 1, others, ring, max_bits)
+                remainder, _ = _reduce(_terms(p), 1, _Reducers(others), ring, max_bits)
                 if not remainder:
                     changed = True
                     continue
@@ -372,8 +409,8 @@ def _buchberger_loop(
 ) -> list[_Poly]:
     """Core pair loop over primitive polynomials, which may be any generating
     set; returns the reduced basis or raises _BudgetExceeded."""
-    basis = list(polys)
-    leads = [p.lead for p in basis]
+    basis = _Reducers(polys)
+    leads = basis.leads
 
     age = 0
     queue: list = []
@@ -405,7 +442,7 @@ def _buchberger_loop(
             heapq.heappush(queue, (tau, age, i, r))
             alive[(i, r)] = tau
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         update_pairs(j)
 
     while queue:
@@ -417,7 +454,7 @@ def _buchberger_loop(
         if alive.pop((i, j), None) is None:
             continue
         stats.pairs_processed += 1
-        s_poly = _s_poly(basis[i], basis[j], ring)
+        s_poly = _s_poly(basis.polys[i], basis.polys[j], ring)
         remainder, _ = _reduce(s_poly, 1, basis, ring, budget.max_coeff_bits)
         if not remainder:
             continue
@@ -427,10 +464,9 @@ def _buchberger_loop(
         if bits > stats.max_coeff_bits:
             stats.max_coeff_bits = bits
         basis.append(new_poly)
-        leads.append(new_poly.lead)
-        update_pairs(len(basis) - 1)
+        update_pairs(len(leads) - 1)
 
-    return _interreduce(basis, ring, budget.max_coeff_bits)
+    return _interreduce(basis.polys, ring, budget.max_coeff_bits)
 
 
 def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:
@@ -491,6 +527,7 @@ def _fglm(
     standard = _standard_monomials(basis, ring, cap=20_000)
     if standard is None:
         return None
+    reducers = _Reducers(basis)
     dim = len(standard)
     width = ring.n
 
@@ -534,7 +571,7 @@ def _fglm(
         if any(target.divides(l, key) for l in new_leads):
             continue
         shifted = {ring.mul(m, step): c for m, c in parent.items()}
-        remainder, scale = _reduce(shifted, parent_scale, basis, ring)
+        remainder, scale = _reduce(shifted, parent_scale, reducers, ring)
         vec = [remainder.get(m, 0) for m in standard]
         vec, combo = eliminated(vec, {key: scale})
         pivot = next((k for k in range(dim) if vec[k]), None)

@@ -28,7 +28,7 @@ from .curvature import (
     kaehler_einstein_metric,
 )
 from .errors import ConfigurationError, DomainError
-from .isotropy import triple_tensor
+from .isotropy import TripleTensor, triple_tensor
 from .polyalg.groebner import GroebnerBudget, saturate
 from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_polynomial
 from .polyalg.realroots import (
@@ -243,15 +243,28 @@ def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> Solutio
     return result
 
 
-def _solution_from_metric(spec: RootSystemSpec, metric: InvariantMetric, provenance: str) -> EinsteinSolution:
-    triples = triple_tensor(spec)
-    k, residual = einstein_residual(metric, triples)
-    kaehler, _ = is_kaehler(metric, spec)
+@dataclass(frozen=True)
+class _RootData:
+    """What a solution record needs from the root system; a call that makes
+    records derives it once."""
+
+    triples: TripleTensor
+    permutations: tuple[tuple[int, ...], ...]
+    kaehler: InvariantMetric
+
+
+def _root_data(spec: RootSystemSpec) -> _RootData:
+    return _RootData(triple_tensor(spec), weyl_orbit_permutations(spec), kaehler_einstein_metric(spec))
+
+
+def _solution_from_metric(data: _RootData, metric: InvariantMetric, provenance: str) -> EinsteinSolution:
+    k, residual = einstein_residual(metric, data.triples)
+    kaehler, _ = is_kaehler(metric, data.kaehler, data.permutations)
     return EinsteinSolution(
         metric=metric,
         k=k,
         kaehler=kaehler,
-        isometry_class=_class_id(canonical_vector(weyl_orbit_permutations(spec), metric.x)),
+        isometry_class=_class_id(canonical_vector(data.permutations, metric.x)),
         provenance=provenance,
         residual=residual,
     )
@@ -259,7 +272,8 @@ def _solution_from_metric(spec: RootSystemSpec, metric: InvariantMetric, provena
 
 def kaehler_einstein_solution(spec: RootSystemSpec) -> EinsteinSolution:
     """The closed-form Kaehler-Einstein metric as an exact solution record."""
-    return _solution_from_metric(spec, kaehler_einstein_metric(spec), "algebraic")
+    data = _root_data(spec)
+    return _solution_from_metric(data, data.kaehler, "algebraic")
 
 
 @dataclass(frozen=True)
@@ -330,8 +344,9 @@ def solve_branches(
     if spec.type_label != "G2":
         raise ConfigurationError("the case analysis tables are specific to G2")
     result = SolutionSet(group=spec.type_label, normalization=normalization)
+    data = _root_data(spec)
     for branch in branches:
-        record, solutions = _solve_branch(spec, branch, replace(branch.budget, **(budget or {})))
+        record, solutions = _solve_branch(spec, data, branch, replace(branch.budget, **(budget or {})))
         result.cases.append(record)
         result.solutions.extend(solutions)
         if record.status != "complete":
@@ -341,6 +356,7 @@ def solve_branches(
 
 def _solve_branch(
     spec: RootSystemSpec,
+    data: _RootData,
     branch: Branch,
     budget: GroebnerBudget,
 ) -> tuple[CaseRecord, list[EinsteinSolution]]:
@@ -400,7 +416,7 @@ def _solve_branch(
             continue
         values = system.metric_values({v: a if a == b else float((a + b) / 2) for v, (a, b) in bounds.items()})
         metric = InvariantMetric.exact(values) if lo == hi else InvariantMetric.floating(values)
-        solutions.append(_solution_from_metric(spec, metric, "algebraic"))
+        solutions.append(_solution_from_metric(data, metric, "algebraic"))
 
     notes = []
     if branch.rational_roots:
@@ -467,6 +483,7 @@ def newton_oracle(
     if starts < 1:
         raise ConfigurationError("starts must be >= 1")
     spec = system.spec
+    data = _root_data(spec)
     result = SolutionSet(group=spec.type_label, normalization=_normalization_text(system))
     dim = len(system.variables)
     if dim == 0 or not system.polynomials:
@@ -476,9 +493,9 @@ def newton_oracle(
             if all(isinstance(v, Fraction) for v in values)
             else InvariantMetric.floating(values)
         )
-        _, residual = einstein_residual(metric, triple_tensor(spec))
+        _, residual = einstein_residual(metric, data.triples)
         if float(residual) < tol:
-            result.solutions.append(_solution_from_metric(spec, metric, "numeric"))
+            result.solutions.append(_solution_from_metric(data, metric, "numeric"))
         return result
 
     polys = list(system.polynomials)
@@ -609,22 +626,20 @@ def newton_oracle(
         for row in X[outcome == _CONVERGED]:
             found.append(tuple(float(v) for v in row))
 
-    triples = triple_tensor(spec)
-    permutations = weyl_orbit_permutations(spec)
     metrics: list[InvariantMetric] = []
     canons: list[tuple[float, ...]] = []
     spurious = 0
     for point in sorted(found):
         metric = InvariantMetric.floating(system.metric_values(dict(zip(system.variables, point))))
-        _, residual = einstein_residual(metric, triples)
+        _, residual = einstein_residual(metric, data.triples)
         if float(residual) >= tol:
             spurious += 1
             continue
         metrics.append(metric)
-        canons.append(tuple(float(v) for v in canonical_vector(permutations, metric.x)))
+        canons.append(tuple(float(v) for v in canonical_vector(data.permutations, metric.x)))
     groups = _group(canons)
     # each class is represented by its first point
-    result.solutions = [_solution_from_metric(spec, metrics[group[0]], "numeric") for group in groups]
+    result.solutions = [_solution_from_metric(data, metrics[group[0]], "numeric") for group in groups]
     reasons = [f"{outcomes[code]} {_OUTCOMES[code]}" for code in range(1, len(_OUTCOMES))]
     reasons.append(f"{spurious} residual >= tol")
     basins = " / ".join(str(len(group)) for group in groups) or "none"

@@ -114,22 +114,26 @@ def test_a2_normal_metric_is_einstein():
     assert residual == 0
 
 
+def _kaehler_data(spec):
+    return kaehler_einstein_metric(spec), weyl_orbit_permutations(spec)
+
+
 def test_is_kaehler_scaled_copy():
     g2 = root_system("G2")
-    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(1, 3), F(4, 3), F(5, 3), 2, 3]), g2)
+    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(1, 3), F(4, 3), F(5, 3), 2, 3]), *_kaehler_data(g2))
     assert ok and sigma == (0, 1, 2, 3, 4, 5)
 
 
 def test_is_kaehler_permuted_copy():
     g2 = root_system("G2")
-    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(4, 3), F(1, 3), F(5, 3), 3, 2]), g2)
+    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(4, 3), F(1, 3), F(5, 3), 3, 2]), *_kaehler_data(g2))
     assert ok and sigma != (0, 1, 2, 3, 4, 5)
 
 
 def test_is_kaehler_rejects_other_metrics():
     g2 = root_system("G2")
     ok, sigma = is_kaehler(
-        InvariantMetric.floating([1, 0.2762, 1.0347, 1.0347, 1, 1.7896]), g2
+        InvariantMetric.floating([1, 0.2762, 1.0347, 1.0347, 1, 1.7896]), *_kaehler_data(g2)
     )
     assert not ok and sigma is None
 
@@ -137,7 +141,7 @@ def test_is_kaehler_rejects_other_metrics():
 def test_is_kaehler_identity_witness():
     for label in SMALL_GROUPS:
         spec = root_system(label)
-        ok, sigma = is_kaehler(kaehler_einstein_metric(spec), spec)
+        ok, sigma = is_kaehler(kaehler_einstein_metric(spec), *_kaehler_data(spec))
         assert ok and sigma == tuple(range(len(sigma)))
 
 

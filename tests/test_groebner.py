@@ -4,10 +4,11 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from flagein.errors import DomainError
+from flagein.polyalg import groebner
 from flagein.polyalg.groebner import (
     _MIN_FIELD_BITS,
     GroebnerBudget,
@@ -308,17 +309,30 @@ def test_ansatz_elimination_stats(ansatz_elimination):
     assert ansatz_elimination.stats.conversion == "grevlex+fglm"
 
 
-def test_general_system_budget_stats():
-    """One budget bounds the whole call: the grevlex pass stops it."""
+@pytest.mark.parametrize(
+    "max_pairs, max_coeff_bits, pinned",
+    [
+        (40, 2500, GroebnerStats(40, 7, 0, 93, budget_limit="pairs")),
+        (60, 2500, GroebnerStats(60, 7, 0, 117, budget_limit="pairs")),
+        (80, 2500, GroebnerStats(80, 7, 0, 191, budget_limit="pairs")),
+        # 379 bits < 500: no basis element reached the limit, so the check
+        # inside a reduction tripped, not the one between pairs
+        (250, 500, GroebnerStats(89, 7, 0, 379, budget_limit="coeff_bits")),
+    ],
+    ids=["pairs40", "pairs60", "pairs80", "bits500"],
+)
+def test_general_system_budget_stats(max_pairs, max_coeff_bits, pinned):
+    """One budget bounds the whole call: the grevlex pass stops it.  Every
+    budget decision rests on rational values, so no change to how the kernel
+    stores or scales its integers may move these stats."""
     names = ("x2", "x3", "x4", "x5", "x6")
     gens = parse_polynomial_file(open("tests/data/g2_general_system.txt").read(), names)
     constraints = [MultiPoly.variable(v, names) for v in names] + [
         parse_polynomial(text, names) for text in ("1 - x5", "1 - x6", "x5 - x6")
     ]
-    result = saturate(gens, constraints, GroebnerBudget(max_pairs=60, max_coeff_bits=2500))
+    result = saturate(gens, constraints, GroebnerBudget(max_pairs, max_coeff_bits))
     assert result.status == "budget_exceeded"
-    assert _stats_tuple(result) == (60, 7, 0, 117)
-    assert result.stats.budget_limit == "pairs"
+    assert result.stats == pinned
 
 
 def test_ansatz_elimination_degree_14(ansatz_elimination):
@@ -354,29 +368,30 @@ def test_buchberger_on_saturated_ansatz_is_stable(ansatz_elimination):
     assert basis.generators == ansatz_elimination.generators
 
 
-def _primitive_integer(terms):
-    """Coprime integer coefficients with a positive lex-leading one."""
+def _primitive_integer(terms, order):
+    """Coprime integer coefficients with a positive leading one under *order*."""
     den = lcm(*(c.denominator for c in terms.values()))
     ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     g = gcd(*ints.values())
-    if ints[max(ints)] < 0:
+    if ints[max(ints, key=order.key)] < 0:
         g = -g
     return {e: F(c // g) for e, c in ints.items()}
 
 
-def _assert_lex_basis_matches_sympy(gens, basis, **options):
-    """Our reduced lex basis is sympy's, generator for generator, once both
-    are scaled to primitive integer generators with a positive lead."""
+def _assert_basis_matches_sympy(gens, basis, kind="lex", **options):
+    """Our reduced basis is sympy's, generator for generator, once both are
+    scaled to primitive integer generators with a positive lead."""
     sympy = pytest.importorskip("sympy")
     names = gens[0].vars
+    order = TermOrder(kind, names)
     syms = sympy.symbols(names)
     table = dict(zip(names, syms))
     exprs = [sympy.sympify(format_polynomial(g).replace("^", "**"), locals=table) for g in gens]
     ours = [g.terms for g in basis.generators]
-    assert [_primitive_integer(t) for t in ours] == ours
+    assert [_primitive_integer(t, order) for t in ours] == ours
     theirs = [
-        _primitive_integer({e: F(int(c.p), int(c.q)) for e, c in p.terms()})
-        for p in sympy.groebner(exprs, *syms, order="lex", **options).polys
+        _primitive_integer({e: F(int(c.p), int(c.q)) for e, c in p.terms()}, order)
+        for p in sympy.groebner(exprs, *syms, order=kind, **options).polys
     ]
     assert sorted(sorted(t.items()) for t in ours) == sorted(sorted(t.items()) for t in theirs)
 
@@ -427,7 +442,7 @@ def test_fglm_bases_match_sympy(make):
         basis = buchberger(gens, TermOrder("lex", XYZ))
         assert basis.complete
         assert basis.stats.conversion == "grevlex+fglm"
-        _assert_lex_basis_matches_sympy(gens, basis)
+        _assert_basis_matches_sympy(gens, basis)
 
 
 def test_fglm_on_the_saturation_input_matches_sympy(ansatz_generators):
@@ -441,7 +456,7 @@ def test_fglm_on_the_saturation_input_matches_sympy(ansatz_generators):
     assert _stats_tuple(basis) == (121, 33, 4, 775)
     # sympy's default Buchberger takes several times longer on this ideal
     # than its F5B; both return the same reduced basis
-    _assert_lex_basis_matches_sympy(lifted, basis, method="f5b")
+    _assert_basis_matches_sympy(lifted, basis, method="f5b")
 
 
 @pytest.mark.parametrize("y_degree, fits", [(4, True), (5, False)])
@@ -466,3 +481,94 @@ def test_fglm_staircase_at_the_field_width(y_degree, fits):
     # the lex staircase is y^0..y^15, well past total degree 7: only its
     # normal forms, which stay under the grevlex staircase, meet the 3-bit ring
     assert [_poly_to(p, target) for p in lex] == buchberger(gens, TermOrder("lex", names)).generators
+
+
+def _divide(f, divisors, order):
+    """Remainder of f by the textbook division over Fractions: take the largest
+    monomial left; cancel it with the first divisor whose leading monomial
+    divides it, or move it to the remainder."""
+    work = dict(f.terms)
+    divisors = [g for g in divisors if not g.is_zero()]
+    leads = [order.leading(g) for g in divisors]
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for g, (lead, lc) in zip(divisors, leads):
+            if all(a >= b for a, b in zip(m, lead)):
+                shift = tuple(a - b for a, b in zip(m, lead))
+                for e, v in g.terms.items():
+                    if e != lead:
+                        t = tuple(a + b for a, b in zip(e, shift))
+                        work[t] = work.get(t, 0) - c / lc * v
+                        if not work[t]:
+                            del work[t]
+                break
+        else:
+            remainder[m] = c
+    return MultiPoly(f.vars, remainder)
+
+
+def _xyz_polys(max_degree, max_size):
+    # non-monic, with numerators and denominators large enough that the
+    # fraction-free scale grows past the content-removal threshold
+    coefficient = st.fractions(min_value=-1000, max_value=1000, max_denominator=60).filter(bool)
+    exponent = st.tuples(*(st.integers(0, max_degree) for _ in XYZ))
+    return st.dictionaries(exponent, coefficient, min_size=1, max_size=max_size).map(
+        lambda terms: MultiPoly(XYZ, terms)
+    )
+
+
+@seed(2007)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["lex", "grevlex"]),
+    _xyz_polys(8, 16),
+    st.lists(_xyz_polys(2, 3), min_size=1, max_size=4),
+)
+def test_reduce_poly_matches_rational_division(kind, f, divisors):
+    order = TermOrder(kind, XYZ)
+    assert reduce_poly(f, divisors, order) == _divide(f, divisors, order)
+
+
+def _ruled_out_then_found(monkeypatch):
+    """Patch _reduce to record each monomial whose divisor lookup had ruled
+    out every reducer of an earlier call and now finds one appended since."""
+    found = []
+    reduce = groebner._reduce
+
+    def spy(work, scale, reducers, ring, max_bits=None):
+        count = len(reducers.leads)
+        # lookups that stopped at the end of a shorter reducer list
+        stale = {
+            m: k for m, k in reducers.resume.items() if k < count and not ring.divides(reducers.leads[k], m)
+        }
+        out = reduce(work, scale, reducers, ring, max_bits)
+        found.extend(m for m, k in stale.items() if k < reducers.resume[m] < count)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    return found
+
+
+def _four_terms(rng):
+    """Up to four terms with exponents below 4 and non-zero coefficients."""
+    terms = {
+        tuple(rng.randrange(4) for _ in XYZ): F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+        for _ in range(4)
+    }
+    return MultiPoly(XYZ, terms)
+
+
+def test_divisor_memo_bases_match_sympy(monkeypatch):
+    # two generators in three variables: positive-dimensional ideals, so the
+    # grevlex pair loop runs to the end without FGLM
+    found = _ruled_out_then_found(monkeypatch)
+    order = TermOrder("grevlex", XYZ)
+    rng = random.Random(1998)
+    for _ in range(40):
+        gens = [_four_terms(rng), _four_terms(rng)]
+        basis = buchberger(gens, order)
+        assert basis.complete
+        _assert_basis_matches_sympy(gens, basis, "grevlex")
+    assert found

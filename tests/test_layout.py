@@ -1,5 +1,6 @@
-"""Source guards: no module-level memo caches, and package __init__ files
-that import nothing (the ``flagein`` command is the one entry point)."""
+"""Source guards: no module-level memo caches or containers, no numpy in the
+polynomial layer, and package __init__ files that import nothing (the
+``flagein`` command is the one entry point)."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,81 @@ def test_no_memo_caches_in_the_package():
 def test_package_init_imports_nothing(init):
     tree = ast.parse((PACKAGE / init).read_text())
     assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def _imports_numpy(source: str) -> bool:
+    """Whether any import, at any depth, names numpy or a numpy submodule."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source, hit",
+    [
+        ("import numpy as np\n", True),
+        ("def f():\n    from numpy.linalg import solve\n", True),
+        ("from .poly import MultiPoly\n", False),
+        ("import numbers\n", False),
+    ],
+)
+def test_numpy_guard_flags_each_spelling(source, hit):
+    assert _imports_numpy(source) is hit
+
+
+def test_no_numpy_in_the_polynomial_layer():
+    # the exact layer runs without numpy, so a run that never reaches the
+    # oracle never pays its import
+    found = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in (PACKAGE / "polyalg").rglob("*.py")
+        if _imports_numpy(path.read_text())
+    )
+    assert found == []
+
+
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_TYPES = {"dict", "list", "set"}
+
+
+def _module_level_containers(source: str) -> list[int]:
+    """Lines where a module-level statement binds a name to a dict, list or
+    set display, comprehension or constructor call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            value = node.value
+            called = value.func.id if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) else None
+            if isinstance(value, _MUTABLE_DISPLAYS) or called in _MUTABLE_TYPES:
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("CACHE = {}\n", [1]),
+        ("X = 1\nSEEN: set[int] = set()\n", [2]),
+        ("ROWS = [n for n in range(3)]\n", [1]),
+        ("TABLE = dict(a=1)\n", [1]),
+        ("NAMES = ('a', 'b')\nLIMIT = frozenset({1})\ndef f():\n    seen = {}\n", []),
+    ],
+)
+def test_container_guard_flags_each_spelling(source, lines):
+    assert _module_level_containers(source) == lines
+
+
+def test_no_module_level_containers_in_the_package():
+    found = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := _module_level_containers(path.read_text()))
+    }
+    assert found == {}

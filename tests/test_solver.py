@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,9 @@ from flagein.polyalg.poly import (
     parse_polynomial_file,
 )
 from flagein.rootsys import positive_roots, root_system, weyl_orbit_permutations
+from flagein import solver
 from flagein.solver import (
+    G2_SYMMETRIC_ANSATZ,
     Branch,
     build_system,
     canonical_vector,
@@ -427,6 +430,38 @@ def test_oracle_note_accounts_for_every_start(g2):
     assert len(hits) == classes
     assert convergent + sum(newton) == starts
     assert residual + sum(hits) == convergent
+
+
+def test_record_making_calls_derive_the_root_data_once(g2, monkeypatch):
+    # each call that makes solution records derives the triples, the Weyl
+    # permutations and the Kaehler-Einstein metric once, not once per record
+    counts = Counter()
+
+    def counted(name):
+        derive = getattr(solver, name)
+
+        def wrapper(spec):
+            counts[name] += 1
+            return derive(spec)
+
+        return wrapper
+
+    for name in ("triple_tensor", "weyl_orbit_permutations", "kaehler_einstein_metric"):
+        monkeypatch.setattr(solver, name, counted(name))
+    once = {"triple_tensor": 1, "weyl_orbit_permutations": 1, "kaehler_einstein_metric": 1}
+    system = build_system(g2, normalization={"x1": 1})
+    counts.clear()
+    oracle = newton_oracle(system, starts=2000, seed=1)
+    assert len(oracle.solutions) == 3
+    assert counts == once
+    counts.clear()
+    ansatz = solve_symmetric_ansatz(g2)
+    assert len(ansatz.solutions) == 2
+    # build_system derives the triples of each branch's slice
+    assert counts == once | {"triple_tensor": 1 + len(G2_SYMMETRIC_ANSATZ)}
+    counts.clear()
+    classify(oracle.solutions + ansatz.solutions, g2)
+    assert counts == {"weyl_orbit_permutations": 1}
 
 
 def test_classify_merges_weyl_copies(g2):
