@@ -378,11 +378,15 @@ def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> Mu
 
 def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = None) -> list[_Poly]:
     """Reduce each generator against the others until stable; drop zeros.
-    *max_bits* bounds each reduction as in _reduce."""
+    *max_bits* bounds each reduction as in _reduce.
+
+    Whether a term is reducible depends only on the leading terms, so a pass
+    that changes none of them (it may drop generators or change tails)
+    leaves every generator reduced, and no further pass is needed."""
     current = list(polys)
-    changed = True
-    while changed:
-        changed = False
+    leads_changed = True
+    while leads_changed:
+        leads_changed = False
         current.sort(key=lambda p: p.lead)
         result: list[_Poly] = []
         for i, p in enumerate(current):
@@ -390,11 +394,9 @@ def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = No
             if others:
                 remainder, _ = _reduce(_terms(p), 1, _Reducers(others), ring, max_bits)
                 if not remainder:
-                    changed = True
                     continue
                 r = _reducer(_primitive(remainder), ring)
-                if r != p:
-                    changed = True
+                leads_changed |= r.lead != p.lead
                 p = r
             result.append(p)
         current = result
@@ -483,8 +485,13 @@ def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:
     return all(covered)
 
 
-def _standard_monomials(basis: list[_Poly], ring: _Monomials, cap: int) -> list[int] | None:
-    """Monomials under the staircase; None if more than *cap* of them."""
+# above this many standard monomials FGLM gives up and buchberger runs the
+# lex pair loop instead
+_STANDARD_MONOMIAL_CAP = 20_000
+
+
+def _standard_monomials(basis: list[_Poly], ring: _Monomials) -> list[int] | None:
+    """Monomials under the staircase; None if more than _STANDARD_MONOMIAL_CAP."""
     leads = [p.lead for p in basis]
     steps = [ring.variable(i) for i in range(ring.n)]
     seen = {0}
@@ -495,7 +502,7 @@ def _standard_monomials(basis: list[_Poly], ring: _Monomials, cap: int) -> list[
         if any(ring.divides(l, m) for l in leads):
             continue
         out.append(m)
-        if len(out) > cap:
+        if len(out) > _STANDARD_MONOMIAL_CAP:
             return None
         for step in steps:
             up = ring.mul(m, step)
@@ -524,7 +531,7 @@ def _fglm(
     row scales by the reduced ratio of the two pivot entries.  A row is a
     primitive integer vector, so a normal form's scale does not change it.
     """
-    standard = _standard_monomials(basis, ring, cap=20_000)
+    standard = _standard_monomials(basis, ring)
     if standard is None:
         return None
     reducers = _Reducers(basis)

@@ -8,6 +8,7 @@ denominators, and for q > 0 the integer q^n f(p/q) has the sign of f(p/q).
 The square-free part and the Sturm chain are built with primitive
 pseudo-remainders scaled by |lc|^(delta+1), which preserves every sign, so
 the intervals and certificates are exactly those of rational arithmetic.
+A known rational root p/q is split off by exact integer division by q x - p.
 """
 
 from __future__ import annotations
@@ -31,22 +32,6 @@ def _strip(c: list) -> list:
 
 def _derivative(c: list) -> list:
     return [i * coeff for i, coeff in enumerate(c)][1:]
-
-
-def divide(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Exact quotient and remainder of a / b; b must have a non-zero lead."""
-    r = _strip(list(a))
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, coeff in enumerate(b):
-            r[shift + i] -= factor * coeff
-        r.pop()
-        _strip(r)
-    return q, r
 
 
 def _integer(c) -> IntCoeffs:
@@ -143,6 +128,16 @@ def _scaled_value(c: IntCoeffs, p: int, q_powers: list[int]) -> int:
     for coeff, qk in zip(c[-2::-1], q_powers[1:]):
         total = total * p + coeff * qk
     return total
+
+
+def deflate(c: Coeffs, root: Fraction) -> IntCoeffs:
+    """The integer quotient of c by q x - p for a root p/q of c, a positive
+    multiple of c / (x - p/q); the root is checked by the sign test."""
+    c = _strip(_integer(c))
+    p, q = root.numerator, root.denominator
+    if _scaled_value(c, p, _powers(q, len(c) - 1)):
+        raise DomainError(f"expected rational root {root} missing from the elimination polynomial")
+    return _exact_quotient(c, [-p, q])
 
 
 def _sign(v: int) -> int:

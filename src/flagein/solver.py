@@ -32,11 +32,10 @@ from .isotropy import TripleTensor, triple_tensor
 from .polyalg.groebner import GroebnerBudget, saturate
 from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_polynomial
 from .polyalg.realroots import (
-    divide,
+    deflate,
     interval_eval,
     refine_root,
     root_count,
-    square_free_part,
     sturm_chain,
     sturm_isolate,
 )
@@ -392,11 +391,9 @@ def _solve_branch(
     record.elimination_degree = univariate.degree_in(var)
     remaining = univariate.univariate_in(var)
     for root in branch.rational_roots:
-        remaining, rem = divide(remaining, [-root, Fraction(1)])
-        if rem:
-            raise DomainError(f"expected rational root {root} missing from the elimination polynomial")
-    # Sturm variations at -inf and +inf count the real roots without isolating them
-    record.real_roots = root_count(sturm_chain(square_free_part(remaining)), "-inf", "+inf")
+        remaining = deflate(remaining, root)
+    # Sturm variations at -inf and +inf count the distinct real roots without isolating them
+    record.real_roots = root_count(sturm_chain(remaining), "-inf", "+inf")
     positive = sturm_isolate(remaining, rng=(Fraction(0), None))
     record.positive_roots = len(positive)
 

@@ -572,3 +572,35 @@ def test_divisor_memo_bases_match_sympy(monkeypatch):
         assert basis.complete
         _assert_basis_matches_sympy(gens, basis, "grevlex")
     assert found
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["x^2 + y^2 + z^2 - 1", "x*y - z", "y*z - x"],
+        # the pair loop ends with two redundant generators
+        ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"],
+    ],
+)
+def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts):
+    # the final interreduction changes tails and drops redundant generators
+    # but no leading term, so one pass (one reduction per generator) finishes
+    interreduce, reduce = groebner._interreduce, groebner._reduce
+    inputs = []
+
+    def record(polys, ring, max_bits=None):
+        inputs.append((list(polys), ring))
+        return interreduce(polys, ring, max_bits)
+
+    monkeypatch.setattr(groebner, "_interreduce", record)
+    basis = buchberger([parse_polynomial(t, XYZ) for t in texts], TermOrder("grevlex", XYZ))
+    finished, ring = inputs[-1]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    assert [_poly_to(p, ring) for p in interreduce(finished, ring)] == basis.generators
+    assert len(calls) == len(finished)

@@ -11,6 +11,7 @@ from flagein.polyalg import realroots
 from flagein.polyalg.poly import MultiPoly, parse_polynomial
 from flagein.polyalg.realroots import (
     IsolatingInterval,
+    deflate,
     interval_eval,
     refine_root,
     root_count,
@@ -327,6 +328,21 @@ def test_refinement_output_is_pinned(name, rng, precision, bounds):
 @pytest.mark.parametrize("name", sorted(_PINNED_POLYS))
 def test_square_free_part_is_pinned(name):
     assert repr(square_free_part(_PINNED_POLYS[name])) == repr([F(v) for v in _PINNED_SQUARE_FREE[name]])
+
+
+def test_deflate_splits_known_roots_on_integers():
+    # (3x - 2)(x + 5) * DEG14, ascending
+    product = [0] * (len(DEG14) + 2)
+    for i, a in enumerate(reversed(DEG14)):
+        for j, b in enumerate((-10, 13, 3)):
+            product[i + j] += a * b
+    once = deflate([F(v) for v in product], F(2, 3))
+    assert once[-1] == DEG14[0] and all(type(v) is int for v in once)
+    deg14 = deflate(once, F(-5))
+    assert deg14 == list(reversed(DEG14))
+    assert repr(sturm_isolate(deg14, rng=(F(0), None))) == _pinned("deg14", _PINNED_INTERVALS[1][2])
+    with pytest.raises(DomainError, match="expected rational root 3/4 missing"):
+        deflate(deg14, F(3, 4))
 
 
 def test_interval_eval_encloses_true_range():

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -340,6 +341,13 @@ def test_branch_engine_rejects_missing_rational_root(g2):
     )
     with pytest.raises(DomainError, match="rational root 2 missing"):
         solve_branches(g2, "slice", (branch,))
+
+
+def test_branch_engine_checks_each_rational_root_exactly(g2):
+    # x6 = 1 is excluded by saturation, so it cannot divide the eliminant
+    branch = replace(G2_SYMMETRIC_ANSATZ[1], rational_roots=(F(1),))
+    with pytest.raises(DomainError, match="^expected rational root 1 missing from the elimination polynomial$"):
+        solve_branches(g2, "x1 = x5 = 1", (branch,))
 
 
 def test_general_case_budget_status(g2):
