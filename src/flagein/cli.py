@@ -45,6 +45,9 @@ EXIT_INTERNAL = 4
 
 def _budget_overrides(args) -> dict[str, int]:
     """GroebnerBudget fields set by --budget-pairs and --budget-bits."""
+    for flag, value in (("--budget-pairs", args.budget_pairs), ("--budget-bits", args.budget_bits)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1")
     limits = {"max_pairs": args.budget_pairs, "max_coeff_bits": args.budget_bits}
     return {name: value for name, value in limits.items() if value is not None}
 

@@ -30,6 +30,10 @@ class TermOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
             raise DomainError(f"unknown term order kind {self.kind!r}")
+        if "" in self.variables:
+            raise DomainError("empty variable name")
+        if len(set(self.variables)) != len(self.variables):
+            raise DomainError(f"repeated variable name in {', '.join(self.variables)}")
 
     def key(self, exp: Exponent):
         """Sort key; larger key = larger monomial."""

@@ -142,7 +142,7 @@ def test_einstein_symmetric_budget_overrun_still_reports(capsys):
     assert code == EXIT_BUDGET
     payload = json.loads(out)
     assert payload["status"] == "budget_exceeded"
-    # x6 = 1 needs 16 pairs, x6 != 1 121 and the x4 = x3 certificate 73
+    # x6 = 1 needs 16 pairs, x6 != 1 82 and the x4 = x3 certificate 73
     assert [c["status"] for c in payload["cases"]] == ["complete", "budget_exceeded", "budget_exceeded"]
     assert "pairs budget after 50 pairs" in payload["cases"][1]["notes"]
     assert payload["solutions"] == []
@@ -172,7 +172,7 @@ def test_einstein_full_classification(capsys):
         capsys, "einstein", "G2", "--mode", "full", "--starts", "2000", "--seed", "1",
         "--budget-pairs", "125", "--format", "json",
     )
-    # 125 pairs close the ansatz branches (at most 121) and stop the general
+    # 125 pairs close the ansatz branches (at most 82) and stop the general
     # branch early; the oracle covers that region
     assert code == EXIT_BUDGET
     payload = json.loads(out)
@@ -284,3 +284,39 @@ def test_bad_flag_usage(capsys):
 def test_bad_precision_usage(capsys):
     code, _, err = run(capsys, "einstein", "G2", "--mode", "oracle", "--precision", "2.0", "--starts", "5")
     assert code == EXIT_USAGE
+
+
+def test_negative_seed_usage(capsys):
+    code, out, err = run(capsys, "einstein", "G2", "--mode", "oracle", "--starts", "5", "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-bits"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_einstein_rejects_budgets_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "einstein", "G2", "--mode", "symmetric", flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag} must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-bits"])
+def test_groebner_rejects_budgets_below_one(capsys, flag):
+    code, out, err = run(capsys, "groebner", str(DATA / "g2_symmetric_system.txt"), flag, "-3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag} must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "names, message", [("x,x", "repeated variable name in x, x"), ("x,,", "empty variable name")]
+)
+def test_groebner_rejects_repeated_or_empty_variable_names(tmp_path, capsys, names, message):
+    source = tmp_path / "sys.txt"
+    source.write_text("x^2 - 2\n")
+    code, out, err = run(capsys, "groebner", str(source), "--vars", names, "--format", "json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err

@@ -100,6 +100,12 @@ def test_term_orders_disagree():
     assert lex.leading(g)[0] == (2, 0)
 
 
+@pytest.mark.parametrize("variables", [("x", "x"), ("x", "y", "x"), ("x", ""), ("",)])
+def test_term_order_rejects_repeated_or_empty_names(variables):
+    with pytest.raises(DomainError, match="repeated variable name|empty variable name"):
+        TermOrder("lex", variables)
+
+
 def test_grevlex_classic_order():
     variables = ("x", "y", "z")
     order = TermOrder("grevlex", variables)

@@ -350,6 +350,72 @@ def test_branch_engine_checks_each_rational_root_exactly(g2):
         solve_branches(g2, "x1 = x5 = 1", (branch,))
 
 
+def _saturate_spy(monkeypatch):
+    """Record every saturate call the engine makes, with its result."""
+    calls = []
+    real_saturate = solver.saturate
+
+    def spy(generators, nonvanishing, budget=None):
+        calls.append((generators[0].vars, real_saturate(generators, nonvanishing, budget)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "saturate", spy)
+    return calls
+
+
+def test_x6_ne_1_units_leave_the_full_saturation(g2, monkeypatch):
+    """Saturating by x2 (x6 - 1) and certifying x3 and x6 as units gives the
+    basis that saturating by all four factors gives."""
+    from flagein.polyalg.groebner import saturate
+
+    calls = _saturate_spy(monkeypatch)
+    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
+    [(names, basis)] = calls
+    assert names == ("x2", "x3", "x6")
+    stats = basis.stats
+    assert (stats.pairs_processed, stats.max_coeff_bits) == (82, 174)
+    golden = parse_polynomial_file(open("tests/data/g2_symmetric_system.txt").read(), names)
+    constraints = [MultiPoly.variable(v, names) for v in names]
+    constraints.append(MultiPoly.variable("x6", names) - MultiPoly.constant(1, names))
+    full = saturate(golden, constraints)
+    assert full.stats.pairs_processed == 121
+    assert basis.generators == full.generators
+    # the case log still names every factor the branch assumes non-zero
+    assert result.cases[0].saturations == ["x2", "x3", "x6", "x6 - 1"]
+    assert len(result.solutions) == 2
+
+
+def test_unit_check_rejects_a_factor_that_is_not_a_unit(g2):
+    # the x6 = 1 points survive saturating by the coordinates alone
+    branch = replace(G2_SYMMETRIC_ANSATZ[1], factors=(), units=("x6 - 1",))
+    with pytest.raises(DomainError, match="^x6 != 1: x6 - 1 is not a unit modulo the saturated slice$"):
+        solve_branches(g2, "x1 = x5 = 1", (branch,))
+
+
+def test_unit_check_overrun_makes_status_budget_exceeded(g2, monkeypatch):
+    from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
+
+    def fake_buchberger(generators, order, budget=None):
+        stats = GroebnerStats(pairs_processed=9, pairs_discarded=2, max_coeff_bits=40, budget_limit="pairs")
+        return GroebnerBasis([], order, "budget_exceeded", stats)
+
+    monkeypatch.setattr(solver, "buchberger", fake_buchberger)
+    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
+    assert result.status == "budget_exceeded"
+    [case] = result.cases
+    assert case.status == "budget_exceeded"
+    assert case.notes.startswith("the unit check of x3 exceeded its pairs budget after 9 pairs (2 discarded, 40")
+    assert result.solutions == []
+
+
+def test_each_row_makes_one_saturate_call(g2, monkeypatch):
+    """The unit checks run through buchberger, so each row is one saturation."""
+    calls = _saturate_spy(monkeypatch)
+    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", G2_SYMMETRIC_ANSATZ)
+    assert result.status == "complete"
+    assert [names for names, _ in calls] == [branch.order for branch in G2_SYMMETRIC_ANSATZ]
+
+
 def test_general_case_budget_status(g2):
     result = solve_general_case(g2, {"max_pairs": 60})
     assert result.status == "budget_exceeded"
