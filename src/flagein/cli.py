@@ -183,6 +183,8 @@ def cmd_einstein(args, out) -> int:
         raise ConfigurationError("precision must lie in (0, 1)")
     if args.starts < 1:
         raise ConfigurationError("starts must be >= 1")
+    if args.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     # a given budget flag overrides that field of each branch's budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-10,
         help="oracle residual tolerance and positivity cutoff, used by --mode oracle and full: a "
-        "convergent point with a coordinate <= it is rejected; the exact branches always refine "
+        "Newton row is rejected as soon as a coordinate is <= it; the exact branches always refine "
         "roots to 1e-40",
     )
     p.add_argument("--budget-pairs", type=int, help="Groebner pair limit (default: each branch's own)")

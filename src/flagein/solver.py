@@ -16,6 +16,7 @@ normalization and the Weyl-induced coordinate permutations.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -501,8 +502,10 @@ def newton_oracle(
     tol: float = 1e-10,
 ) -> SolutionSet:
     """Damped Newton on the cleared system from log-uniform random starts in
-    [1e-2, 1e2]^dim; converged positive points are deduplicated up to scale
-    and Weyl permutation.  Deterministic for a fixed seed.
+    [1e-2, 1e2]^dim, drawn from ``random.Random(seed)``; a row is rejected
+    as soon as a coordinate falls to ``tol``, and converged points are
+    deduplicated up to scale and Weyl permutation.  Deterministic for a
+    fixed seed.
 
     The case note counts the starts rejected for each reason and the points
     that reached each class (its basin hits), in class order."""
@@ -592,10 +595,15 @@ def newton_oracle(
         """Damped Newton on the rows of X in place; each row ends with one
         outcome code.  Rows are independent, so any split of X into blocks
         gives the same iterates."""
-        # rows still iterating carry _ITERATION_CAP, which is final after max_iter
+        # rows still iterating carry _ITERATION_CAP, which is final after
+        # max_iter; a row converges only with every coordinate above tol
         outcome = np.full(X.shape[0], _ITERATION_CAP, dtype=np.int8)
         for _ in range(max_iter):
             idx = np.flatnonzero(outcome == _ITERATION_CAP)
+            # a row at the positivity cutoff is rejected before its next step
+            boundary = (X[idx] <= tol).any(axis=1)
+            outcome[idx[boundary]] = _NON_POSITIVE
+            idx = idx[~boundary]
             if idx.size == 0:
                 break
             mono = monomial_matrix(X[idx], exponents)
@@ -642,16 +650,16 @@ def newton_oracle(
             X[sub] = Xa - lam[:, None] * step
         return outcome
 
-    # the generator's stream does not depend on how the draws are split
-    rng = np.random.default_rng(seed)
+    # draws are taken row-major, so the stream does not depend on the blocks
+    rng = random.Random(seed)
     block = 2048  # rows per draw and Newton pass; bounds the working arrays
     found: list[tuple[float, ...]] = []
     outcomes = np.zeros(len(_OUTCOMES), dtype=np.int64)
     for lo in range(0, starts, block):
-        X = 10.0 ** rng.uniform(-2.0, 2.0, size=(min(block, starts - lo), dim))
+        rows_here = min(block, starts - lo)
+        u = np.array([rng.random() for _ in range(rows_here * dim)]).reshape(rows_here, dim)
+        X = 10.0 ** (4.0 * u - 2.0)
         outcome = iterate(X)
-        positive = (X > tol).all(axis=1)
-        outcome[(outcome == _CONVERGED) & ~positive] = _NON_POSITIVE
         outcomes += np.bincount(outcome, minlength=len(_OUTCOMES))
         for row in X[outcome == _CONVERGED]:
             found.append(tuple(float(v) for v in row))
@@ -705,6 +713,9 @@ def classify_full(
     For G2 this reproduces the full classification; for other groups the
     result is a search, not a completeness claim.
     """
+    # checked before the exact branches run, not only by the oracle
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     solutions: list[EinsteinSolution] = [kaehler_einstein_solution(spec)]
     cases: list[CaseRecord] = []
     status = "complete"

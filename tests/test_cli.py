@@ -7,6 +7,7 @@ import pytest
 from flagein.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from flagein.polyalg.groebner import saturate
 from flagein.polyalg.poly import MultiPoly, format_polynomial
+from flagein import solver
 from flagein.solver import build_system
 from flagein.rootsys import root_system
 
@@ -288,6 +289,17 @@ def test_bad_precision_usage(capsys):
 
 def test_negative_seed_usage(capsys):
     code, out, err = run(capsys, "einstein", "G2", "--mode", "oracle", "--starts", "5", "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
+def test_negative_seed_fails_before_the_exact_branches(capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("the exact branches ran before the seed was checked")
+
+    monkeypatch.setattr(solver, "solve_symmetric_ansatz", reached)
+    code, out, err = run(capsys, "einstein", "G2", "--mode", "full", "--starts", "5", "--seed", "-1")
     assert code == EXIT_USAGE
     assert out == ""
     assert "seed must be >= 0" in err

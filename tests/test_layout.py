@@ -1,8 +1,11 @@
 """Source guards: no module-level memo caches or containers, no numpy in the
-polynomial layer, and package __init__ files that import nothing (the
-``flagein`` command is the one entry point)."""
+polynomial layer and no numpy.random in the oracle, and package __init__
+files that import nothing (the ``flagein`` command is the one entry point)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,27 @@ def test_no_numpy_in_the_polynomial_layer():
         if _imports_numpy(path.read_text())
     )
     assert found == []
+
+
+def test_oracle_never_imports_numpy_random():
+    # the oracle draws its starts from the standard library; numpy.random
+    # would add ~5 MB to the peak memory of every run that reaches it
+    script = (
+        "import sys\n"
+        "from flagein.rootsys import root_system\n"
+        "from flagein.solver import build_system, newton_oracle\n"
+        "newton_oracle(build_system(root_system('G2'), normalization={'x1': 1}), starts=50, seed=1)\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert run.stdout.split() == ["True", "False"]
 
 
 _MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

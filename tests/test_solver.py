@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual, ricci
-from flagein.errors import DomainError
+from flagein.errors import ConfigurationError, DomainError
 from flagein.isotropy import triple_tensor
 from flagein.polyalg.groebner import GroebnerBudget, reduce_poly
 from flagein.polyalg.poly import (
@@ -465,25 +465,26 @@ def test_oracle_matches_ansatz(g2, ansatz_result):
 
 
 def test_oracle_output_is_pinned(g2):
-    # recorded before the Newton kernel was vectorized; the kernel works row
-    # by row, so iterates and convergent points must not move by one bit
+    # recorded from random.Random(1) starts, rows stopping at the positivity
+    # cutoff; the kernel works row by row, so iterates and convergent points
+    # must not move by one bit
     result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=2000, seed=1)
-    assert result.cases[0].notes.startswith("2000 starts, seed 1, 409 convergent, 3 classes;")
+    assert result.cases[0].notes.startswith("2000 starts, seed 1, 390 convergent, 3 classes;")
     pinned = [
         (
             "0.333333333,0.111111111,0.444444444,0.555555556,0.666666667,1",
-            "(1.0, 0.16666666666663854, 0.833333333333286, 0.6666666666665844, 0.4999999999998876, 1.4999999999999762)",
+            "(1.0, 0.16666666666665259, 0.8333333333333137, 0.6666666666666164, 0.49999999999993694, 1.5000000000000009)",
             "3.086420008457935e-14",
         ),
         (
             "0.727003339,1,1,0.212394631,0.977109349,0.977109349",
-            "(1.0, 0.21737038078158796, 1.0234269081025682, 1.023426908102568, 0.9999999999999994, 0.7440347799024191)",
-            "5.551115123125783e-16",
+            "(1.0, 0.21737038078158807, 1.023426908102568, 1.0234269081025675, 0.9999999999999989, 0.7440347799024186)",
+            "4.996003610813204e-16",
         ),
         (
             "0.558783892,0.15435849,0.578187834,0.578187834,0.558783892,1",
-            "(1.0, 0.27624004892420795, 1.0347253080006227, 1.034725308000619, 0.9999999999999893, 1.7896006223103664)",
-            "4.440892098500626e-16",
+            "(1.0, 0.276240048924203, 1.0347253080006078, 1.03472530800059, 0.9999999999999468, 1.7896006223103245)",
+            "1.7763568394002505e-15",
         ),
     ]
     assert [(s.isometry_class, repr(s.metric.x), repr(s.residual)) for s in result.solutions] == pinned
@@ -493,9 +494,9 @@ def test_oracle_note_accounts_for_every_start(g2):
     result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=10_000, seed=1)
     notes = result.cases[0].notes
     assert notes == (
-        "10000 starts, seed 1, 2027 convergent, 3 classes; rejected: 0 non-finite, "
-        "0 singular Jacobian, 10 iteration cap, 7963 non-positive coordinate, "
-        "567 residual >= tol; basin hits per class: 774 / 431 / 255"
+        "10000 starts, seed 1, 1932 convergent, 3 classes; rejected: 0 non-finite, "
+        "0 singular Jacobian, 0 iteration cap, 8068 non-positive coordinate, "
+        "437 residual >= tol; basin hits per class: 795 / 450 / 250"
     )
     # every start is convergent or rejected before the residual check; every
     # convergent point is a residual rejection or a basin hit
@@ -504,6 +505,17 @@ def test_oracle_note_accounts_for_every_start(g2):
     assert len(hits) == classes
     assert convergent + sum(newton) == starts
     assert residual + sum(hits) == convergent
+
+
+def test_classify_full_rejects_a_negative_seed_before_the_exact_branches(g2, monkeypatch):
+    # the oracle also rejects it, but only after the ansatz and the budgeted
+    # general attempt have run
+    def reached(*args, **kwargs):
+        raise AssertionError("the exact branches ran before the seed was checked")
+
+    monkeypatch.setattr(solver, "solve_symmetric_ansatz", reached)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        solver.classify_full(g2, starts=5, seed=-1)
 
 
 def test_record_making_calls_derive_the_root_data_once(g2, monkeypatch):
