@@ -13,6 +13,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -188,18 +189,24 @@ def cmd_einstein(args, out) -> int:
     # a given budget flag overrides that field of each branch's budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
-    if args.mode == "symmetric":
-        result = solve_symmetric_ansatz(spec, budget)
-    elif args.mode == "general":
-        result = solve_general_case(spec, budget)
-    elif args.mode == "full":
-        result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
-    else:
-        system = build_system(spec, normalization={"x1": 1})
-        result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
-    payload = solution_set_to_dict(result)
-    if args.output:
-        with open(args.output, "w") as fh:
+    # open the report file before the run, so a path that cannot be written
+    # fails at once rather than after the whole computation
+    try:
+        report = open(args.output, "w") if args.output else contextlib.nullcontext()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {args.output}: {exc}") from None
+    with report as fh:
+        if args.mode == "symmetric":
+            result = solve_symmetric_ansatz(spec, budget)
+        elif args.mode == "general":
+            result = solve_general_case(spec, budget)
+        elif args.mode == "full":
+            result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
+        else:
+            system = build_system(spec, normalization={"x1": 1})
+            result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
+        payload = solution_set_to_dict(result)
+        if fh is not None:
             emit_json(payload, fh)
     if args.format == "json":
         emit_json(payload, out)
@@ -229,7 +236,7 @@ def cmd_groebner(args, out) -> int:
     try:
         with open(args.file) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {args.file}: {exc}") from None
     variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars else None
     polys = parse_polynomial_file(text, variables)

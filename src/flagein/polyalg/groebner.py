@@ -6,8 +6,9 @@ criteria in Gebauer-Moeller form.  Requesting a lex basis of a
 zero-dimensional ideal takes the standard fast route: a grevlex basis first,
 then exact FGLM conversion, which reduces each monomial it visits from the
 normal form of the monomial it came from (Faugere-Gianni-Lazard-Mora, JSC
-1993).  Both routes produce the same object, the unique reduced basis,
-normalized to integer-primitive generators with positive leading
+1993) and eliminates on those normal forms as sparse rows, whatever the size
+of the staircase.  Both routes produce the same object, the unique reduced
+basis, normalized to integer-primitive generators with positive leading
 coefficients, so identical inputs give bit-identical output.
 
 All arithmetic runs in one integer kernel (Monagan-Pearce, "Polynomial
@@ -77,7 +78,9 @@ class _BudgetExceeded(Exception):
 
 
 # smallest field width; a field holds a total degree (grevlex) or an exponent
-# (lex) up to 2**bits - 1, far above the degrees FGLM can reach under its cap
+# (lex) up to 2**bits - 1.  Every divisor of a standard monomial is standard,
+# so FGLM's monomials (standard ones times a variable) have degrees at most
+# the quotient dimension; a larger quotient overflows and raises DomainError
 _MIN_FIELD_BITS = 15
 
 
@@ -225,6 +228,19 @@ def _repack(p: _Poly, source: _Monomials, target: _Monomials) -> _Poly:
     return _reducer(_primitive({target.pack(source.unpack(m)): c for m, c in _terms(p).items()}), target)
 
 
+def _combine(keep: int, x, take: int, y) -> dict[int, int]:
+    """keep*x - take*y over (monomial, coefficient) pairs, zero entries dropped;
+    keep and take are nonzero, and neither input repeats a monomial."""
+    out = {m: keep * c for m, c in x}
+    for m, c in y:
+        s = out.get(m, 0) - take * c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
 def _s_poly(f: _Poly, g: _Poly, ring: _Monomials) -> dict[int, int]:
     """lc(g) x^mf f - lc(f) x^mg g, whose leading terms cancel."""
     tau = ring.lcm(f.lead, g.lead)
@@ -232,15 +248,7 @@ def _s_poly(f: _Poly, g: _Poly, ring: _Monomials) -> dict[int, int]:
     mg = tau - g.lead
     ring.mul(f.top, mf)  # raises if a shifted tail term overflows
     ring.mul(g.top, mg)
-    out = {t + mf: c * g.lc for t, c in f.tail}
-    for t, c in g.tail:
-        key = t + mg
-        s = out.get(key, 0) - c * f.lc
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return out
+    return _combine(g.lc, ((t + mf, c) for t, c in f.tail), f.lc, ((t + mg, c) for t, c in g.tail))
 
 
 class _Reducers:
@@ -485,39 +493,12 @@ def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:
     return all(covered)
 
 
-# above this many standard monomials FGLM gives up and buchberger runs the
-# lex pair loop instead
-_STANDARD_MONOMIAL_CAP = 20_000
-
-
-def _standard_monomials(basis: list[_Poly], ring: _Monomials) -> list[int] | None:
-    """Monomials under the staircase; None if more than _STANDARD_MONOMIAL_CAP."""
-    leads = [p.lead for p in basis]
-    steps = [ring.variable(i) for i in range(ring.n)]
-    seen = {0}
-    out: list[int] = []
-    stack = [0]
-    while stack:
-        m = stack.pop()
-        if any(ring.divides(l, m) for l in leads):
-            continue
-        out.append(m)
-        if len(out) > _STANDARD_MONOMIAL_CAP:
-            return None
-        for step in steps:
-            up = ring.mul(m, step)
-            if up not in seen:
-                seen.add(up)
-                stack.append(up)
-    return out
-
-
 def _fglm(
     basis: list[_Poly],
     ring: _Monomials,
     target: _Monomials,
     stats: GroebnerStats,
-) -> list[_Poly] | None:
+) -> list[_Poly]:
     """Convert a zero-dimensional reduced basis to *target*'s order by linear algebra.
 
     Monomials are visited in increasing *target* order.  Normal forms under a
@@ -526,76 +507,68 @@ def _fglm(
     reduced from that shifted normal form rather than from scratch.  A
     parent's normal form is held only by its queued children.
 
-    Rows are kept fraction-free: each row R carries an integer combination C
-    of already visited monomials with NF(C) = R, and eliminating against a
-    row scales by the reduced ratio of the two pivot entries.  A row is a
-    primitive integer vector, so a normal form's scale does not change it.
+    A row is a normal form as _reduce returns it, a sparse dict keyed by
+    *ring*-packed monomials, and its pivot is its largest monomial.  Rows are
+    kept fraction-free: each row R carries an integer combination C of
+    already visited monomials with NF(C) = R, and eliminating against a row
+    scales by the reduced ratio of the two pivot entries.  A row is primitive,
+    so a normal form's scale does not change it.
     """
-    standard = _standard_monomials(basis, ring)
-    if standard is None:
-        return None
     reducers = _Reducers(basis)
-    dim = len(standard)
-    width = ring.n
-
     # pivot -> (row, combination keyed by target-packed monomials)
-    pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
-    chosen = 0
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     new_leads: list[int] = []
     out: list[_Poly] = []
 
-    def eliminated(vec: list[int], combo: dict[int, int]):
-        for p, (row, row_combo) in sorted(pivots.items()):
-            if vec[p]:
-                g = gcd(vec[p], row[p])
-                keep, take = row[p] // g, vec[p] // g
-                vec = [keep * v - take * w for v, w in zip(vec, row)]
-                combo = {m: keep * c for m, c in combo.items()}
-                for m, c in row_combo.items():
-                    s = combo.get(m, 0) - take * c
-                    if s:
-                        combo[m] = s
-                    else:
-                        combo.pop(m, None)
-        h = gcd(*vec, *combo.values())
-        return [v // h for v in vec], {m: c // h for m, c in combo.items()}
+    def eliminated(row: dict[int, int], combo: dict[int, int]):
+        # a pivot row holds only monomials below its pivot, so clearing the
+        # row's pivots largest first never brings back one already cleared
+        todo = [-m for m in row if m in pivots]
+        heapq.heapify(todo)
+        while todo:
+            p = -heapq.heappop(todo)
+            if p not in row:
+                continue  # cancelled meanwhile, or queued twice
+            pivot_row, pivot_combo = pivots[p]
+            g = gcd(row[p], pivot_row[p])
+            keep, take = pivot_row[p] // g, row[p] // g
+            for m in pivot_row:
+                if m != p and m in pivots and m not in row:
+                    heapq.heappush(todo, -m)
+            row = _combine(keep, row.items(), take, pivot_row.items())
+            combo = _combine(keep, combo.items(), take, pivot_combo.items())
+        h = gcd(*row.values(), *combo.values())
+        return {m: c // h for m, c in row.items()}, {m: c // h for m, c in combo.items()}
 
-    # (target key, exponent, parent's remainder and scale, step); the key is
-    # unique per exponent, so the heap never compares further
+    # (target key, parent's remainder and scale, step); keys are queued once,
+    # so the heap never compares further
     heap: list = []
     queued = set()
-    steps = [ring.variable(i) for i in range(width)]
+    steps = [(ring.variable(i), target.variable(i)) for i in range(ring.n)]
 
-    def push(exp: Exponent, parent: tuple[dict[int, int], int], step: int):
-        if exp not in queued:
-            queued.add(exp)
-            heapq.heappush(heap, (target.pack(exp), exp, parent, step))
+    def push(key: int, parent: tuple[dict[int, int], int], step: int):
+        if key not in queued:
+            queued.add(key)
+            heapq.heappush(heap, (key, parent, step))
 
     # the monomial 1 enters the same way: the normal form 1 times the empty step
-    push((0,) * width, ({0: 1}, 1), 0)
+    push(0, ({0: 1}, 1), 0)
     while heap:
-        key, exp, (parent, parent_scale), step = heapq.heappop(heap)
+        key, (parent, parent_scale), step = heapq.heappop(heap)
         if any(target.divides(l, key) for l in new_leads):
             continue
         shifted = {ring.mul(m, step): c for m, c in parent.items()}
         remainder, scale = _reduce(shifted, parent_scale, reducers, ring)
-        vec = [remainder.get(m, 0) for m in standard]
-        vec, combo = eliminated(vec, {key: scale})
-        pivot = next((k for k in range(dim) if vec[k]), None)
-        if pivot is None:
-            # NF(combo) = 0: a new generator with leading monomial exp
+        row, combo = eliminated(remainder, {key: scale})
+        if not row:
+            # NF(combo) = 0: a new generator with leading monomial key
             out.append(_reducer(_primitive(combo), target))
             new_leads.append(key)
         else:
-            pivots[pivot] = (vec, combo)
-            chosen += 1
-            if chosen > dim:
-                raise DomainError("FGLM dimension overflow; ideal not zero-dimensional")
+            pivots[max(row)] = (row, combo)
             normal_form = (remainder, scale)
-            for i in range(width):
-                up = list(exp)
-                up[i] += 1
-                push(tuple(up), normal_form, steps[i])
+            for ring_step, target_step in steps:
+                push(target.mul(key, target_step), normal_form, ring_step)
     stats.conversion = "grevlex+fglm"
     # each generator is its lead minus target-standard monomials, in lead
     # order: the reduced basis as it stands
@@ -612,9 +585,10 @@ def buchberger(
     The first pass interreduces the input once and runs the pair loop on it,
     under grevlex when a lex basis of more than one variable is requested.
     If that grevlex basis shows the ideal is zero-dimensional, FGLM converts
-    it and its output, reduced by construction, is the result.  Otherwise
-    the pair loop runs under lex starting from the grevlex basis as it
-    stands.  Either way the result is the unique reduced basis.
+    it, whatever its quotient dimension, and its output, reduced by
+    construction, is the result.  Otherwise the pair loop runs under lex
+    starting from the grevlex basis as it stands.  Either way the result is
+    the unique reduced basis.
 
     The budget bounds the whole call: every pass counts against the same
     pairs and coefficient bits, and a pass that runs out returns
@@ -633,10 +607,10 @@ def buchberger(
         seeds = [_poly_from(g, first) for g in generators if not g.is_zero()]
         final = _buchberger_loop(_interreduce(seeds, first, budget.max_coeff_bits), first, budget, stats)
         if first is not ring:
-            lex = _fglm(final, first, ring, stats) if _is_zero_dimensional(final, first) else None
-            if lex is None:
-                lex = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
-            final = lex
+            if _is_zero_dimensional(final, first):
+                final = _fglm(final, first, ring, stats)
+            else:
+                final = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
     except _BudgetExceeded as exc:
         stats.budget_limit = exc.limit
         return GroebnerBasis([], order, "budget_exceeded", stats)

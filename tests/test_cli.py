@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flagein import cli
 from flagein.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from flagein.polyalg.groebner import saturate
 from flagein.polyalg.poly import MultiPoly, format_polynomial
@@ -218,6 +219,19 @@ def test_einstein_output_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("name", [".", "missing/report.json"])
+def test_einstein_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, name):
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve_symmetric_ansatz", reached)
+    target = tmp_path / name  # a directory, or a file in a missing directory
+    code, out, err = run(capsys, "einstein", "G2", "--mode", "symmetric", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot write {target}" in err
+
+
 def test_groebner_trivial(tmp_path, capsys):
     source = tmp_path / "sys.txt"
     source.write_text("x - 1\ny - x\n")
@@ -231,6 +245,15 @@ def test_groebner_empty_file(tmp_path, capsys):
     source.write_text("\n")
     code, _, err = run(capsys, "groebner", str(source))
     assert code == EXIT_USAGE
+
+
+def test_groebner_non_utf8_file(tmp_path, capsys):
+    source = tmp_path / "binary.txt"
+    source.write_bytes(b"\xc0\x80")
+    code, out, err = run(capsys, "groebner", str(source))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot read {source}" in err
 
 
 def test_groebner_parse_error_line(tmp_path, capsys):

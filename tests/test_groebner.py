@@ -461,11 +461,13 @@ def test_fglm_on_the_saturation_input_matches_sympy(ansatz_generators):
 
 @pytest.mark.parametrize("y_degree, fits", [(4, True), (5, False)])
 def test_fglm_staircase_at_the_field_width(y_degree, fits):
-    # A 3-bit grevlex field holds total degrees up to 7.  The staircase of
-    # x^4 + y, y^b + x ends at x^3 y^(b-1); multiplying it by x reaches total
-    # degree b + 3, inside the field for b = 4 and one past it for b = 5.  (The
-    # public functions size the field from the input degrees, which keeps any
-    # staircase FGLM accepts inside it, so this builds the ring directly.)
+    # A 3-bit grevlex field holds total degrees up to 7.  The lex walk visits
+    # y^0, y^1, ..., and their normal forms run over the grevlex staircase of
+    # x^4 + y, y^b + x up to its corner x^3 y^(b-1); shifting that normal form
+    # by y reaches total degree b + 3, inside the field for b = 4 and one past
+    # it for b = 5.  (The public functions size the field from the input
+    # degrees, which keeps the degrees of small quotients inside it, so this
+    # builds the ring directly.)
     names = ("x", "y")
     gens = [parse_polynomial(text, names) for text in ("x^4 + y", f"y^{y_degree} + x")]
     ring = _Monomials(TermOrder("grevlex", names), 3)
@@ -481,6 +483,21 @@ def test_fglm_staircase_at_the_field_width(y_degree, fits):
     # the lex staircase is y^0..y^15, well past total degree 7: only its
     # normal forms, which stay under the grevlex staircase, meet the 3-bit ring
     assert [_poly_to(p, target) for p in lex] == buchberger(gens, TermOrder("lex", names)).generators
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        (("x^150", "y^150"), ["y^150", "x^150"]),
+        (("x^60 + y", "y^60 + x"), ["y^3600 + y", "x + y^60"]),
+    ],
+)
+def test_fglm_converts_large_staircases(texts, expected):
+    # 22,500 and 3600 standard monomials: FGLM converts any zero-dimensional
+    # ideal, whatever the size of its staircase
+    basis = buchberger([parse_polynomial(t, VARS) for t in texts], LEX)
+    assert basis.stats.conversion == "grevlex+fglm"
+    assert [format_polynomial(g, LEX) for g in basis.generators] == expected
 
 
 def _divide(f, divisors, order):
