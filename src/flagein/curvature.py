@@ -39,10 +39,6 @@ class InvariantMetric:
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.x)
 
-    def require_positive(self):
-        if not all(v > 0 for v in self.x):
-            raise DomainError(f"metric entries must be positive: {self.x}")
-
     @classmethod
     def exact(cls, values) -> "InvariantMetric":
         return cls(tuple(Fraction(v) for v in values))
@@ -91,7 +87,8 @@ def _ricci_values(x, triples: TripleTensor):
 
 def ricci(metric: InvariantMetric, triples: TripleTensor) -> RicciComponents:
     """Ricci components of an invariant metric; exactness follows the input."""
-    metric.require_positive()
+    if not all(v > 0 for v in metric.x):
+        raise DomainError(f"metric entries must be positive: {metric.x}")
     if len(metric.x) != len(triples.dims):
         raise DomainError("metric length does not match the isotropy decomposition")
     values = _ricci_values(list(metric.x), triples)
@@ -128,34 +125,6 @@ def kaehler_einstein_metric(spec: RootSystemSpec) -> InvariantMetric:
     raw = [form.pair_roots(two_delta, alpha) for alpha in pos]
     shared = content(raw)
     return InvariantMetric.exact([v / shared for v in raw])
-
-
-# relative tolerance of the proportionality test for float metrics
-_KAEHLER_TOL = 1e-8
-
-
-def is_kaehler(
-    metric: InvariantMetric,
-    reference: InvariantMetric,
-    permutations: tuple[tuple[int, ...], ...],
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether some permutation of the metric in *permutations*, the group's
-    ``weyl_orbit_permutations``, is proportional to *reference*, its
-    ``kaehler_einstein_metric``; returns the witnessing permutation.  A caller
-    with many metrics derives both once."""
-    metric.require_positive()
-    exact = metric.is_exact
-    for sigma in permutations:
-        permuted = [metric.x[sigma[i]] for i in range(len(sigma))]
-        ratios = [p / q for p, q in zip(permuted, reference.x)]
-        if exact:
-            if all(v == ratios[0] for v in ratios):
-                return True, sigma
-        else:
-            base = float(ratios[0])
-            if all(abs(float(v) - base) <= _KAEHLER_TOL * abs(base) for v in ratios):
-                return True, sigma
-    return False, None
 
 
 def apply_permutation(sigma: tuple[int, ...], values: tuple) -> tuple:

@@ -26,7 +26,6 @@ from .curvature import (
     _ricci_values,
     apply_permutation,
     einstein_residual,
-    is_kaehler,
     kaehler_einstein_metric,
 )
 from .errors import ConfigurationError, DomainError
@@ -97,7 +96,7 @@ def build_system(
 ) -> EinsteinSystem:
     """Clear denominators of r_i - r_j for the given pairs (consecutive by
     default) after pinning variables per *normalization* and identifying
-    variables per *equalities*."""
+    variables per *equalities*, whose targets must not be identified too."""
     s = len(positive_roots(spec))
     names = _metric_variables(s)
     assignments: dict[str, Fraction] = {}
@@ -115,16 +114,8 @@ def build_system(
         if key in assignments:
             raise DomainError(f"{key} is both assigned and identified")
         identifications[key] = target
-    # resolve chains and reject cycles
-    for key in list(identifications):
-        seen = {key}
-        target = identifications[key]
-        while target in identifications:
-            target = identifications[target]
-            if target in seen:
-                raise DomainError("cyclic variable identification")
-            seen.add(target)
-        identifications[key] = target
+    if any(target in identifications for target in identifications.values()):
+        raise DomainError("an identification target must not itself be identified")
     if not assignments:
         raise DomainError("normalization must assign at least one variable (scale gauge)")
 
@@ -195,31 +186,49 @@ def _linear_solve_on_interval(
     return min(candidates), max(candidates)
 
 
+# relative tolerance under which two canonical vectors are one isometry class
+_CLASS_TOL = 1e-6
+
+
+def _close(p, q) -> bool:
+    """The class predicate on one entry: equality when both are exact,
+    agreement to _CLASS_TOL (relative to max(1, |q|)) otherwise."""
+    if isinstance(p, Fraction) and isinstance(q, Fraction):
+        return p == q
+    return abs(p - q) <= _CLASS_TOL * max(1.0, abs(q))
+
+
 def canonical_vector(permutations: tuple[tuple[int, ...], ...], values: tuple) -> tuple:
     """Scale so the largest entry is 1, then take the lexicographically smallest
     vector over *permutations*, the ``weyl_orbit_permutations`` of the group;
-    a caller with many vectors derives them once."""
+    a caller with many vectors derives them once.
+
+    Ties are decided by ``_close``: coordinate by coordinate, only the
+    candidates close to that coordinate's minimum stay, so rounding noise on a
+    repeated entry cannot pick another orbit element.  For exact input this is
+    the plain lexicographic minimum."""
     top = max(values)
     scaled = tuple(v / top for v in values)
-    return min(apply_permutation(sigma, scaled) for sigma in permutations)
+    candidates = [apply_permutation(sigma, scaled) for sigma in permutations]
+    for i in range(len(scaled)):
+        if len(candidates) == 1:
+            break
+        low = min(c[i] for c in candidates)
+        candidates = [c for c in candidates if _close(c[i], low)]
+    return min(candidates)
 
 
 def _class_id(canonical: tuple) -> str:
     return ",".join(format(float(v), ".9g") for v in canonical)
 
 
-# relative tolerance under which two canonical vectors are one isometry class
-_CLASS_TOL = 1e-6
-
-
-def _group(canons: list[tuple[float, ...]]) -> list[list[int]]:
+def _group(canons: list[tuple]) -> list[list[int]]:
     """Indices of *canons* grouped into classes in first-seen order; a vector
-    joins the first class whose first member agrees with it to _CLASS_TOL."""
+    joins the first class whose first member it is ``_close`` to entry by entry."""
     groups: list[list[int]] = []
     for i, canon in enumerate(canons):
         for group in groups:
-            first = canons[group[0]]
-            if all(abs(p - q) <= _CLASS_TOL * max(1.0, abs(q)) for p, q in zip(canon, first)):
+            if all(map(_close, canon, canons[group[0]])):
                 group.append(i)
                 break
         else:
@@ -232,7 +241,7 @@ def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> Solutio
     representative per class, exact representatives preferred, under the
     class id of the class's first member."""
     permutations = weyl_orbit_permutations(spec)
-    canons = [tuple(float(v) for v in canonical_vector(permutations, sol.metric.x)) for sol in solutions]
+    canons = [canonical_vector(permutations, sol.metric.x) for sol in solutions]
     classes: list[tuple[tuple, EinsteinSolution]] = []
     for group in _group(canons):
         members = [solutions[i] for i in group]
@@ -252,20 +261,25 @@ class _RootData:
     triples: TripleTensor
     permutations: tuple[tuple[int, ...], ...]
     kaehler: InvariantMetric
+    kaehler_canon: tuple
 
 
 def _root_data(spec: RootSystemSpec) -> _RootData:
-    return _RootData(triple_tensor(spec), weyl_orbit_permutations(spec), kaehler_einstein_metric(spec))
+    permutations = weyl_orbit_permutations(spec)
+    kaehler = kaehler_einstein_metric(spec)
+    return _RootData(triple_tensor(spec), permutations, kaehler, canonical_vector(permutations, kaehler.x))
 
 
 def _solution_from_metric(data: _RootData, metric: InvariantMetric, provenance: str) -> EinsteinSolution:
+    """A record whose class id and Kaehler flag both come from its canonical
+    vector: it is Kaehler when it is in the Kaehler-Einstein class."""
     k, residual = einstein_residual(metric, data.triples)
-    kaehler, _ = is_kaehler(metric, data.kaehler, data.permutations)
+    canon = canonical_vector(data.permutations, metric.x)
     return EinsteinSolution(
         metric=metric,
         k=k,
-        kaehler=kaehler,
-        isometry_class=_class_id(canonical_vector(data.permutations, metric.x)),
+        kaehler=all(map(_close, canon, data.kaehler_canon)),
+        isometry_class=_class_id(canon),
         provenance=provenance,
         residual=residual,
     )
@@ -434,14 +448,20 @@ def _solve_branch(
     solutions: list[EinsteinSolution] = []
     rejected = 0
     for lo, hi in enclosures:
-        bounds = {var: (lo, hi)}
+        # var's root is positive by its isolation on (0, inf); only the
+        # back-substituted coordinates can leave the positive orthant
+        bounds = {}
         for v in order:
             if v != var:
                 gen = next(g for g in basis.generators if v in g.support_vars())
                 bounds[v] = _linear_solve_on_interval(gen, v, (lo, hi), var)
-        if any(v_lo <= 0 for v_lo, _ in bounds.values()):
+        if any(v_hi <= 0 for _, v_hi in bounds.values()):
             rejected += 1
             continue
+        unsure = [v for v, (v_lo, _) in bounds.items() if v_lo <= 0]
+        if unsure:
+            raise DomainError(f"{branch.name}: the enclosure of {unsure[0]} contains 0; refine the root further")
+        bounds[var] = (lo, hi)
         values = system.metric_values({v: a if a == b else float((a + b) / 2) for v, (a, b) in bounds.items()})
         metric = InvariantMetric.exact(values) if lo == hi else InvariantMetric.floating(values)
         solutions.append(_solution_from_metric(data, metric, "algebraic"))
@@ -519,13 +539,8 @@ def newton_oracle(
     data = _root_data(spec)
     result = SolutionSet(group=spec.type_label, normalization=_normalization_text(system))
     dim = len(system.variables)
-    if dim == 0 or not system.polynomials:
-        values = system.metric_values({})
-        metric = (
-            InvariantMetric.exact(values)
-            if all(isinstance(v, Fraction) for v in values)
-            else InvariantMetric.floating(values)
-        )
+    if dim == 0:
+        metric = InvariantMetric.exact(system.metric_values({}))
         _, residual = einstein_residual(metric, data.triples)
         if float(residual) < tol:
             result.solutions.append(_solution_from_metric(data, metric, "numeric"))
@@ -665,7 +680,7 @@ def newton_oracle(
             found.append(tuple(float(v) for v in row))
 
     metrics: list[InvariantMetric] = []
-    canons: list[tuple[float, ...]] = []
+    canons: list[tuple] = []
     spurious = 0
     for point in sorted(found):
         metric = InvariantMetric.floating(system.metric_values(dict(zip(system.variables, point))))
@@ -674,7 +689,7 @@ def newton_oracle(
             spurious += 1
             continue
         metrics.append(metric)
-        canons.append(tuple(float(v) for v in canonical_vector(data.permutations, metric.x)))
+        canons.append(canonical_vector(data.permutations, metric.x))
     groups = _group(canons)
     # each class is represented by its first point
     result.solutions = [_solution_from_metric(data, metrics[group[0]], "numeric") for group in groups]

@@ -9,7 +9,6 @@ from flagein.curvature import (
     _ricci_values,
     apply_permutation,
     einstein_residual,
-    is_kaehler,
     kaehler_einstein_metric,
     ricci,
     ricci_symbolic,
@@ -18,6 +17,7 @@ from flagein.errors import DomainError
 from flagein.isotropy import triple_tensor
 from flagein.polyalg.poly import LaurentPoly
 from flagein.rootsys import positive_roots, root_system, weyl_orbit_permutations
+from flagein import solver
 
 from conftest import SMALL_GROUPS
 
@@ -114,35 +114,30 @@ def test_a2_normal_metric_is_einstein():
     assert residual == 0
 
 
-def _kaehler_data(spec):
-    return kaehler_einstein_metric(spec), weyl_orbit_permutations(spec)
+def _kaehler_flag(spec, metric):
+    """The Kaehler flag a solution record derives for *metric*."""
+    return solver._solution_from_metric(solver._root_data(spec), metric, "algebraic").kaehler
 
 
 def test_is_kaehler_scaled_copy():
     g2 = root_system("G2")
-    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(1, 3), F(4, 3), F(5, 3), 2, 3]), *_kaehler_data(g2))
-    assert ok and sigma == (0, 1, 2, 3, 4, 5)
+    assert _kaehler_flag(g2, InvariantMetric.exact([1, F(1, 3), F(4, 3), F(5, 3), 2, 3]))
 
 
 def test_is_kaehler_permuted_copy():
     g2 = root_system("G2")
-    ok, sigma = is_kaehler(InvariantMetric.exact([1, F(4, 3), F(1, 3), F(5, 3), 3, 2]), *_kaehler_data(g2))
-    assert ok and sigma != (0, 1, 2, 3, 4, 5)
+    assert _kaehler_flag(g2, InvariantMetric.exact([1, F(4, 3), F(1, 3), F(5, 3), 3, 2]))
 
 
 def test_is_kaehler_rejects_other_metrics():
     g2 = root_system("G2")
-    ok, sigma = is_kaehler(
-        InvariantMetric.floating([1, 0.2762, 1.0347, 1.0347, 1, 1.7896]), *_kaehler_data(g2)
-    )
-    assert not ok and sigma is None
+    assert not _kaehler_flag(g2, InvariantMetric.floating([1, 0.2762, 1.0347, 1.0347, 1, 1.7896]))
 
 
 def test_is_kaehler_identity_witness():
     for label in SMALL_GROUPS:
         spec = root_system(label)
-        ok, sigma = is_kaehler(kaehler_einstein_metric(spec), *_kaehler_data(spec))
-        assert ok and sigma == tuple(range(len(sigma)))
+        assert _kaehler_flag(spec, kaehler_einstein_metric(spec))
 
 
 def _known_g2_components(xs):

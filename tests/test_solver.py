@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual, ricci
+from flagein.curvature import InvariantMetric, apply_permutation, einstein_residual, kaehler_einstein_metric, ricci
 from flagein.errors import ConfigurationError, DomainError
 from flagein.isotropy import triple_tensor
 from flagein.polyalg.groebner import GroebnerBudget, reduce_poly
@@ -127,6 +128,8 @@ def test_build_system_validation(g2):
         build_system(g2, normalization={"x1": 1}, equalities={"x1": "x2"})
     with pytest.raises(DomainError):
         build_system(g2, normalization={"x1": 1}, equalities={"x3": "x4", "x4": "x3"})
+    with pytest.raises(DomainError, match="must not itself be identified"):
+        build_system(g2, normalization={"x1": 1}, equalities={"x4": "x3", "x3": "x2"})
 
 
 def test_build_system_trivial_rank_one():
@@ -416,6 +419,31 @@ def test_each_row_makes_one_saturate_call(g2, monkeypatch):
     assert [names for names, _ in calls] == [branch.order for branch in G2_SYMMETRIC_ANSATZ]
 
 
+def _x3_enclosure(monkeypatch, enclosure):
+    """Make every back-substituted x3 enclosure *enclosure*."""
+    real = solver._linear_solve_on_interval
+
+    def fake(poly, var, interval, eliminated):
+        return enclosure if var == "x3" else real(poly, var, interval, eliminated)
+
+    monkeypatch.setattr(solver, "_linear_solve_on_interval", fake)
+
+
+@pytest.mark.parametrize("enclosure", [(F(-2), F(-1)), (F(-1), F(0))])
+def test_back_substitution_rejects_a_certainly_nonpositive_coordinate(g2, monkeypatch, enclosure):
+    _x3_enclosure(monkeypatch, enclosure)
+    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
+    assert result.solutions == []
+    assert result.cases[0].notes == "2 positive-x6 roots rejected for a nonpositive coordinate"
+
+
+@pytest.mark.parametrize("enclosure", [(F(-1), F(1)), (F(0), F(1))])
+def test_back_substitution_refuses_an_enclosure_that_contains_zero(g2, monkeypatch, enclosure):
+    _x3_enclosure(monkeypatch, enclosure)
+    with pytest.raises(DomainError, match="^x6 != 1: the enclosure of x3 contains 0; refine the root further$"):
+        solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
+
+
 def test_general_case_budget_status(g2):
     result = solve_general_case(g2, {"max_pairs": 60})
     assert result.status == "budget_exceeded"
@@ -444,6 +472,15 @@ def test_oracle_a2(a2):
     # the non-Kaehler class is the normal metric
     xs = [float(v) for v in normal[0].metric.x]
     assert all(abs(v - xs[0]) < 1e-9 for v in xs)
+
+
+def test_oracle_and_classify_full_find_one_kaehler_class_on_a3():
+    a3 = root_system("A3")
+    oracle = newton_oracle(build_system(a3, {"x1": 1}), 3000, seed=1)
+    assert sum(s.kaehler for s in oracle.solutions) == 1
+    full = solver.classify_full(a3, 3000, seed=1)
+    [ke] = [s for s in full.solutions if s.kaehler]
+    assert ke.provenance == "algebraic"
 
 
 def test_oracle_matches_ansatz(g2, ansatz_result):
@@ -601,6 +638,20 @@ def test_canonical_vector_is_permutation_invariant(g2):
     for sigma in permutations:
         moved = apply_permutation(sigma, values)
         assert canonical_vector(permutations, moved) == base
+
+
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "C3"])
+def test_canonical_vector_is_stable_under_rounding_noise(label):
+    """Noise on a repeated entry must not pick another orbit element."""
+    spec = root_system(label)
+    permutations = weyl_orbit_permutations(spec)
+    exact = kaehler_einstein_metric(spec).x
+    target = canonical_vector(permutations, exact)
+    rng = random.Random(1)
+    for _ in range(200):
+        noisy = tuple(float(v) * (1 + 1e-12 * rng.uniform(-1, 1)) for v in exact)
+        canon = canonical_vector(permutations, noisy)
+        assert all(abs(p - q) <= solver._CLASS_TOL for p, q in zip(canon, target))
 
 
 def test_solution_set_serialization(ansatz_result):
