@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -190,9 +191,10 @@ def cmd_einstein(args, out) -> int:
     budget = _budget_overrides(args)
     spec = root_system(args.group)
     # open the report file before the run, so a path that cannot be written
-    # fails at once rather than after the whole computation
+    # fails at once rather than after the whole computation; appending keeps
+    # an existing file intact until the report replaces it
     try:
-        report = open(args.output, "w") if args.output else contextlib.nullcontext()
+        report = open(args.output, "a") if args.output else contextlib.nullcontext()
     except OSError as exc:
         raise ConfigurationError(f"cannot write {args.output}: {exc}") from None
     with report as fh:
@@ -207,6 +209,9 @@ def cmd_einstein(args, out) -> int:
             result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
         payload = solution_set_to_dict(result)
         if fh is not None:
+            # a pipe or device holds no old report and cannot be truncated
+            if os.path.isfile(args.output):
+                fh.truncate(0)
             emit_json(payload, fh)
     if args.format == "json":
         emit_json(payload, out)

@@ -59,16 +59,19 @@ class GroebnerStats:
 
 @dataclass
 class GroebnerBasis:
-    """Result of a basis computation; complete unless status says otherwise."""
+    """Result of a basis computation; complete exactly when no budget tripped."""
 
     generators: list[MultiPoly]
     order: TermOrder
-    status: str = "complete"
     stats: GroebnerStats = field(default_factory=GroebnerStats)
 
     @property
     def complete(self) -> bool:
-        return self.status == "complete"
+        return self.stats.budget_limit is None
+
+    @property
+    def status(self) -> str:
+        return "complete" if self.complete else "budget_exceeded"
 
 
 class _BudgetExceeded(Exception):
@@ -613,9 +616,9 @@ def buchberger(
                 final = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
     except _BudgetExceeded as exc:
         stats.budget_limit = exc.limit
-        return GroebnerBasis([], order, "budget_exceeded", stats)
+        return GroebnerBasis([], order, stats)
     stats.basis_size = len(final)
-    return GroebnerBasis([_poly_to(p, ring) for p in final], order, "complete", stats)
+    return GroebnerBasis([_poly_to(p, ring) for p in final], order, stats)
 
 
 def _fresh_variable(used: tuple[str, ...]) -> str:
@@ -657,9 +660,7 @@ def saturate(
     trick = MultiPoly.variable(aux, extended) * product - MultiPoly.constant(1, extended)
     lifted = [g.with_variables(extended) for g in generators] + [trick]
     result = buchberger(lifted, TermOrder("lex", extended), budget)
-    if not result.complete:
-        return GroebnerBasis([], order, result.status, result.stats)
-    # the kernel's generators are already primitive with a positive lead, and
-    # on t-free generators lex over (t, variables) is lex over variables
+    # an overrun has no generators; the kernel's are primitive with a positive
+    # lead, and on t-free generators lex over (t, variables) is lex over variables
     kept = [g.with_variables(variables) for g in result.generators if all(exp[0] == 0 for exp in g.terms)]
-    return GroebnerBasis(kept, order, "complete", result.stats)
+    return GroebnerBasis(kept, order, result.stats)

@@ -77,11 +77,17 @@ class CaseRecord:
 
 @dataclass
 class SolutionSet:
+    """Solutions and the case log behind them, which alone decides the status."""
+
     group: str
     normalization: str
     solutions: list[EinsteinSolution] = field(default_factory=list)
     cases: list[CaseRecord] = field(default_factory=list)
-    status: str = "complete"
+
+    @property
+    def status(self) -> str:
+        """The first case status that is not 'complete', else 'complete'."""
+        return next((c.status for c in self.cases if c.status != "complete"), "complete")
 
 
 def _metric_variables(count: int) -> tuple[str, ...]:
@@ -236,21 +242,17 @@ def _group(canons: list[tuple]) -> list[list[int]]:
     return groups
 
 
-def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> SolutionSet:
-    """Merge solutions into isometry classes (scale + Weyl orbit); one
-    representative per class, exact representatives preferred, under the
-    class id of the class's first member."""
+def classify(solutions: list[EinsteinSolution], spec: RootSystemSpec) -> list[EinsteinSolution]:
+    """Merge solutions into isometry classes (scale + Weyl orbit) and return
+    one representative per class, sorted by canonical vector: an exact member
+    if the class has one, under the class id of the class's first member."""
     permutations = weyl_orbit_permutations(spec)
     canons = [canonical_vector(permutations, sol.metric.x) for sol in solutions]
-    classes: list[tuple[tuple, EinsteinSolution]] = []
-    for group in _group(canons):
-        members = [solutions[i] for i in group]
-        rep = next((sol for sol in members if sol.metric.is_exact), members[0])
-        first = canons[group[0]]
-        classes.append((first, replace(rep, isometry_class=_class_id(first))))
-    result = SolutionSet(group=spec.type_label, normalization="per-solution gauge")
-    result.solutions = [rep for _, rep in sorted(classes, key=lambda item: item[0])]
-    return result
+    reps = []
+    for group in sorted(_group(canons), key=lambda g: canons[g[0]]):
+        rep = next((solutions[i] for i in group if solutions[i].metric.is_exact), solutions[group[0]])
+        reps.append(replace(rep, isometry_class=_class_id(canons[group[0]])))
+    return reps
 
 
 @dataclass(frozen=True)
@@ -383,8 +385,6 @@ def solve_branches(
         record, solutions = _solve_branch(spec, data, branch, replace(branch.budget, **(budget or {})))
         result.cases.append(record)
         result.solutions.extend(solutions)
-        if record.status != "complete":
-            result.status = record.status
     return result
 
 
@@ -547,6 +547,8 @@ def newton_oracle(
         return result
 
     polys = list(system.polynomials)
+    if len(polys) != dim:
+        raise DomainError(f"the Newton oracle needs a square system: {len(polys)} polynomials in {dim} variables")
     jacobian = [[p.derivative(v) for v in system.variables] for p in polys]
     monomials: dict[Exponent, int] = {}
 
@@ -700,7 +702,6 @@ def newton_oracle(
         CaseRecord(
             name="newton oracle",
             saturations=[],
-            status="complete",
             notes=(
                 f"{starts} starts, seed {seed}, {len(found)} convergent, {len(groups)} classes; "
                 f"rejected: {', '.join(reasons)}; basin hits per class: {basins}"
@@ -731,24 +732,15 @@ def classify_full(
     # checked before the exact branches run, not only by the oracle
     if seed < 0:
         raise ConfigurationError("seed must be >= 0")
-    solutions: list[EinsteinSolution] = [kaehler_einstein_solution(spec)]
-    cases: list[CaseRecord] = []
-    status = "complete"
-    if spec.type_label == "G2":
-        for part in (solve_symmetric_ansatz(spec, budget), solve_general_case(spec, budget)):
-            solutions.extend(part.solutions)
-            cases.extend(part.cases)
-            if part.status != "complete":
-                status = part.status
-    system = build_system(spec, normalization={"x1": 1})
-    oracle = newton_oracle(system, starts=starts, seed=seed, tol=tol)
-    solutions.extend(oracle.solutions)
-    cases.extend(oracle.cases)
-    combined = classify(solutions, spec)
-    combined.cases = cases
-    combined.status = status
-    combined.normalization = "x1 = 1 (oracle); see case log"
-    return combined
+    kaehler = kaehler_einstein_solution(spec)
+    parts = [solve_symmetric_ansatz(spec, budget), solve_general_case(spec, budget)] if spec.type_label == "G2" else []
+    parts.append(newton_oracle(build_system(spec, normalization={"x1": 1}), starts=starts, seed=seed, tol=tol))
+    return SolutionSet(
+        group=spec.type_label,
+        normalization="x1 = 1 (oracle); see case log",
+        solutions=classify([kaehler, *(s for part in parts for s in part.solutions)], spec),
+        cases=[case for part in parts for case in part.cases],
+    )
 
 
 def json_scalar(v) -> str:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 from fractions import Fraction as F
 
@@ -230,6 +231,23 @@ def test_einstein_unwritable_output_fails_before_the_run(tmp_path, capsys, monke
     assert code == EXIT_USAGE
     assert out == ""
     assert f"cannot write {target}" in err
+
+
+def test_einstein_failed_run_keeps_an_existing_report(tmp_path, capsys):
+    target = tmp_path / "keep.json"
+    target.write_text("x" * 100_000)
+    before = target.read_bytes()
+    code, out, err = run(capsys, "einstein", "A2", "--mode", "symmetric", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert "specific to G2" in err
+    assert target.read_bytes() == before
+    # a run that succeeds replaces the whole of the longer file
+    code, out, _ = run(capsys, "einstein", "A1", "--mode", "oracle", "--starts", "5", "--output", str(target))
+    assert code == EXIT_OK
+    assert json.loads(target.read_text())["group"] == "A1"
+    # a device is written, not truncated
+    code, out, _ = run(capsys, "einstein", "A1", "--mode", "oracle", "--starts", "5", "--output", os.devnull)
+    assert code == EXIT_OK
 
 
 def test_groebner_trivial(tmp_path, capsys):

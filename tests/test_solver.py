@@ -22,6 +22,7 @@ from flagein import solver
 from flagein.solver import (
     G2_SYMMETRIC_ANSATZ,
     Branch,
+    SolutionSet,
     build_system,
     canonical_vector,
     classify,
@@ -250,7 +251,7 @@ def test_x4_x3_certificate_is_unit_ideal(g2):
 def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
     """A complete saturation that is not the unit ideal refutes the ansatz."""
     from flagein import solver
-    from flagein.polyalg.groebner import GroebnerBasis
+    from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
     real_saturate = solver.saturate
 
@@ -258,7 +259,7 @@ def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
         names = generators[0].vars
         if names == ("x2", "x3", "x4", "x6"):
             gap = MultiPoly.variable("x3", names) - MultiPoly.variable("x4", names)
-            return GroebnerBasis([gap], TermOrder("lex", names))
+            return GroebnerBasis([gap], TermOrder("lex", names), GroebnerStats(budget_limit=None))
         return real_saturate(generators, nonvanishing, budget)
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
@@ -272,22 +273,28 @@ def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
     from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
     real_saturate = solver.saturate
+    # the first, middle and last row overrun in turn; the x6 = 1 row has no
+    # solutions, so only an overrun in the x6 != 1 row loses the two metrics
+    for row, found in ((0, 2), (1, 0), (2, 2)):
+        overrun = G2_SYMMETRIC_ANSATZ[row].order
 
-    def fake_saturate(generators, nonvanishing, budget=None):
-        names = generators[0].vars
-        if names == ("x2", "x3", "x4", "x6"):
-            stats = GroebnerStats(pairs_processed=50, pairs_discarded=7, max_coeff_bits=99, budget_limit="pairs")
-            return GroebnerBasis([], TermOrder("lex", names), "budget_exceeded", stats)
-        return real_saturate(generators, nonvanishing, budget)
+        def fake_saturate(generators, nonvanishing, budget=None, overrun=overrun):
+            names = generators[0].vars
+            if names == overrun:
+                stats = GroebnerStats(pairs_processed=50, pairs_discarded=7, max_coeff_bits=99, budget_limit="pairs")
+                return GroebnerBasis([], TermOrder("lex", names), stats)
+            return real_saturate(generators, nonvanishing, budget)
 
-    monkeypatch.setattr(solver, "saturate", fake_saturate)
-    result = solve_symmetric_ansatz(g2)
-    assert result.status == "budget_exceeded"
-    assert [c.status for c in result.cases] == ["complete", "complete", "budget_exceeded"]
-    assert result.cases[2].notes.startswith(
-        "exact elimination exceeded its pairs budget after 50 pairs (7 discarded, 99 coefficient bits)"
-    )
-    assert len(result.solutions) == 2
+        monkeypatch.setattr(solver, "saturate", fake_saturate)
+        result = solve_symmetric_ansatz(g2)
+        assert result.status == "budget_exceeded"
+        statuses = ["complete"] * 3
+        statuses[row] = "budget_exceeded"
+        assert [c.status for c in result.cases] == statuses
+        assert result.cases[row].notes.startswith(
+            "exact elimination exceeded its pairs budget after 50 pairs (7 discarded, 99 coefficient bits)"
+        )
+        assert len(result.solutions) == found
 
 
 @pytest.mark.parametrize(
@@ -300,13 +307,13 @@ def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
 def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
     """A dict overrides only its fields of the branch's budget."""
     from flagein import solver
-    from flagein.polyalg.groebner import GroebnerBasis
+    from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
     seen = []
 
     def fake_saturate(generators, nonvanishing, budget=None):
         seen.append(budget)
-        return GroebnerBasis([], TermOrder("lex", generators[0].vars), "budget_exceeded")
+        return GroebnerBasis([], TermOrder("lex", generators[0].vars), GroebnerStats(budget_limit="pairs"))
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
     assert solve_general_case(g2, budget).status == "budget_exceeded"
@@ -400,7 +407,7 @@ def test_unit_check_overrun_makes_status_budget_exceeded(g2, monkeypatch):
 
     def fake_buchberger(generators, order, budget=None):
         stats = GroebnerStats(pairs_processed=9, pairs_discarded=2, max_coeff_bits=40, budget_limit="pairs")
-        return GroebnerBasis([], order, "budget_exceeded", stats)
+        return GroebnerBasis([], order, stats)
 
     monkeypatch.setattr(solver, "buchberger", fake_buchberger)
     result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
@@ -452,6 +459,14 @@ def test_general_case_budget_status(g2):
     notes = result.cases[0].notes
     assert "oracle" in notes
     assert "pairs budget after 60 pairs" in notes
+
+
+@pytest.mark.parametrize("pairs", [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]])
+def test_oracle_refuses_a_system_that_is_not_square(pairs):
+    system = build_system(root_system("A2"), {"x1": 1}, pairs=pairs)
+    message = f"^the Newton oracle needs a square system: {len(pairs)} polynomials in 2 variables$"
+    with pytest.raises(DomainError, match=message):
+        newton_oracle(system, 10, seed=1)
 
 
 def test_oracle_a1():
@@ -603,8 +618,8 @@ def test_classify_merges_weyl_copies(g2):
             )
         )
     merged = classify(copies, g2)
-    assert len(merged.solutions) == 1
-    assert merged.solutions[0].kaehler
+    assert len(merged) == 1
+    assert merged[0].kaehler
 
 
 def test_classify_prefers_an_exact_member_under_the_first_members_id(g2):
@@ -615,11 +630,11 @@ def test_classify_prefers_an_exact_member_under_the_first_members_id(g2):
     copy = ke.__class__(
         metric=nudged, k=k, kaehler=True, isometry_class="", provenance="numeric", residual=residual,
     )
-    copy_id = classify([copy], g2).solutions[0].isometry_class
+    copy_id = classify([copy], g2)[0].isometry_class
     assert copy_id != ke.isometry_class
     merged = classify([copy, ke], g2)
-    assert len(merged.solutions) == 1
-    rep = merged.solutions[0]
+    assert len(merged) == 1
+    rep = merged[0]
     assert rep.metric == ke.metric
     assert rep.provenance == "algebraic"
     assert rep.isometry_class == copy_id
@@ -627,8 +642,8 @@ def test_classify_prefers_an_exact_member_under_the_first_members_id(g2):
 
 def test_classify_keeps_distinct_classes(g2, ansatz_result):
     merged = classify(list(ansatz_result.solutions) + [kaehler_einstein_solution(g2)], g2)
-    assert len(merged.solutions) == 3
-    assert sum(1 for s in merged.solutions if s.kaehler) == 1
+    assert len(merged) == 3
+    assert sum(1 for s in merged if s.kaehler) == 1
 
 
 def test_canonical_vector_is_permutation_invariant(g2):
@@ -662,9 +677,8 @@ def test_solution_set_serialization(ansatz_result):
     for record in payload["solutions"]:
         assert set(record) == {"x", "k", "kaehler", "class", "provenance", "residual"}
         assert len(record["x"]) == 6
-    ke = solution_set_to_dict(
-        classify([kaehler_einstein_solution(root_system("G2"))], root_system("G2"))
-    )
+    solutions = classify([kaehler_einstein_solution(root_system("G2"))], root_system("G2"))
+    ke = solution_set_to_dict(SolutionSet("G2", "per-solution gauge", solutions))
     assert ke["solutions"][0]["x"] == ["3", "1", "4", "5", "6", "9"]
     assert ke["solutions"][0]["k"] == "1/12"
     assert ke["solutions"][0]["residual"] == "0"
