@@ -13,7 +13,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -190,29 +189,30 @@ def cmd_einstein(args, out) -> int:
     # a given budget flag overrides that field of each branch's budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
-    # open the report file before the run, so a path that cannot be written
-    # fails at once rather than after the whole computation; appending keeps
-    # an existing file intact until the report replaces it
-    try:
-        report = open(args.output, "a") if args.output else contextlib.nullcontext()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {args.output}: {exc}") from None
-    with report as fh:
-        if args.mode == "symmetric":
-            result = solve_symmetric_ansatz(spec, budget)
-        elif args.mode == "general":
-            result = solve_general_case(spec, budget)
-        elif args.mode == "full":
-            result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
-        else:
-            system = build_system(spec, normalization={"x1": 1})
-            result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
-        payload = solution_set_to_dict(result)
-        if fh is not None:
-            # a pipe or device holds no old report and cannot be truncated
-            if os.path.isfile(args.output):
-                fh.truncate(0)
-            emit_json(payload, fh)
+    # check the report path before the run, so one that cannot be written fails
+    # at once: it must be a writable file, or a new name in a writable directory;
+    # the file is created or truncated only once the report exists
+    if args.output:
+        parent = os.path.dirname(args.output) or "."
+        target = args.output if os.path.exists(args.output) else parent
+        if os.path.isdir(args.output) or not (os.path.isdir(parent) and os.access(target, os.W_OK)):
+            raise ConfigurationError(f"cannot write {args.output}: not a writable file path")
+    if args.mode == "symmetric":
+        result = solve_symmetric_ansatz(spec, budget)
+    elif args.mode == "general":
+        result = solve_general_case(spec, budget)
+    elif args.mode == "full":
+        result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
+    else:
+        system = build_system(spec, normalization={"x1": 1})
+        result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
+    payload = solution_set_to_dict(result)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                emit_json(payload, fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {args.output}: {exc}") from None
     if args.format == "json":
         emit_json(payload, out)
     else:

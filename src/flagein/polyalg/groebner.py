@@ -640,23 +640,21 @@ def saturate(
     Adds t * product - 1 for a fresh auxiliary variable t, computes a lex
     basis with t eliminated first, and keeps the t-free generators.  Because
     the remaining variables keep their given order, the result is itself a
-    lex basis of the saturation ideal.
+    lex basis of the saturation ideal.  An empty list is the product 1 and a
+    non-zero constant c gives c t - 1: both leave the ideal as it is.  A zero
+    product is a ``DomainError``, since t * 0 - 1 would certify the unit ideal.
     """
     if not generators:
         raise DomainError("empty generator list")
     variables = generators[0].vars
     order = TermOrder("lex", variables)
-    if not nonvanishing:
-        return buchberger(generators, order, budget)
     aux = _fresh_variable(variables)
     extended = (aux,) + tuple(variables)
     product = MultiPoly.constant(1, extended)
     for c in nonvanishing:
         product = product * c.with_variables(extended)
-    if product.is_constant():
-        if product.constant_value() == 0:
-            raise DomainError("saturation by zero")
-        return buchberger(generators, order, budget)
+    if product.is_zero():
+        raise DomainError("saturation by zero")
     trick = MultiPoly.variable(aux, extended) * product - MultiPoly.constant(1, extended)
     lifted = [g.with_variables(extended) for g in generators] + [trick]
     result = buchberger(lifted, TermOrder("lex", extended), budget)

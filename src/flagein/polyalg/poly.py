@@ -169,16 +169,6 @@ class MultiPoly(_SparsePoly):
 
     # basic predicates
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise DomainError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)

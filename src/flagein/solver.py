@@ -45,15 +45,17 @@ from .rootsys import RootSystemSpec, positive_roots, weyl_orbit_permutations
 
 @dataclass(frozen=True)
 class EinsteinSystem:
-    """Cleared polynomial system r_i = r_j over the free metric variables."""
+    """Cleared polynomial system r_i = r_j over the free metric variables.
+
+    Each polynomial is one non-zero difference r_i - r_j times the monomial
+    that clears its denominators, scaled to coprime integer coefficients
+    with a positive grevlex lead."""
 
     spec: RootSystemSpec
     variables: tuple[str, ...]
     polynomials: tuple[MultiPoly, ...]
     assignments: dict[str, Fraction]
     identifications: dict[str, str]
-    pairs: tuple[tuple[int, int], ...]
-    clearings: tuple[tuple[Exponent, Fraction], ...]
     all_variables: tuple[str, ...]
 
     def metric_values(self, point: dict[str, Fraction | float]) -> tuple:
@@ -64,10 +66,10 @@ class EinsteinSystem:
 
 @dataclass
 class CaseRecord:
-    """One branch of the case analysis, for the run log."""
+    """One branch of the case analysis, for the run log: what the branch
+    found, not what it saturated by, which its ``Branch`` row says."""
 
     name: str
-    saturations: list[str]
     elimination_degree: int | None = None
     real_roots: int | None = None
     positive_roots: int | None = None
@@ -102,7 +104,11 @@ def build_system(
 ) -> EinsteinSystem:
     """Clear denominators of r_i - r_j for the given pairs (consecutive by
     default) after pinning variables per *normalization* and identifying
-    variables per *equalities*, whose targets must not be identified too."""
+    variables per *equalities*, whose targets must not be identified too.
+
+    A difference that vanishes identically is dropped.  When no variable is
+    left free, every difference must vanish: the result is the empty system,
+    and a non-zero difference is a ``DomainError``."""
     s = len(positive_roots(spec))
     names = _metric_variables(s)
     assignments: dict[str, Fraction] = {}
@@ -126,45 +132,33 @@ def build_system(
         raise DomainError("normalization must assign at least one variable (scale gauge)")
 
     free = tuple(v for v in names if v not in assignments and v not in identifications)
-    atoms: list[LaurentPoly | Fraction] = []
-    for target in (identifications.get(v, v) for v in names):
-        if target in assignments:
-            atoms.append(LaurentPoly.constant(assignments[target], free) if free else assignments[target])
-        else:
-            atoms.append(LaurentPoly.variable(target, free))
-
+    atoms = [
+        LaurentPoly.constant(assignments[t], free) if t in assignments else LaurentPoly.variable(t, free)
+        for t in (identifications.get(v, v) for v in names)
+    ]
     r = _ricci_values(atoms, triple_tensor(spec))
     if pairs is None:
         pairs = [(i, i + 1) for i in range(s - 1)]
     polys: list[MultiPoly] = []
-    clearings: list[tuple[Exponent, Fraction]] = []
-    kept_pairs: list[tuple[int, int]] = []
-    order = TermOrder("grevlex", free) if free else None
+    order = TermOrder("grevlex", free)
     for i, j in pairs:
         diff = r[i] - r[j]
-        if isinstance(diff, Fraction):
-            if diff != 0:
-                raise DomainError("normalization makes the system inconsistent")
-            continue
         if diff.is_zero():
             continue
-        cleared, shift = diff.cleared()
+        if not free:
+            raise DomainError("normalization makes the system inconsistent")
+        cleared, _ = diff.cleared()
         content = cleared.content()
         _, lead = order.leading(cleared)
         if lead < 0:
             content = -content
         polys.append(MultiPoly(free, {e: c / content for e, c in cleared.terms.items()}))
-        # poly == (r_i - r_j) * x^shift / content
-        clearings.append((shift, content))
-        kept_pairs.append((i, j))
     return EinsteinSystem(
         spec=spec,
         variables=free,
         polynomials=tuple(polys),
         assignments=assignments,
         identifications=identifications,
-        pairs=tuple(kept_pairs),
-        clearings=tuple(clearings),
         all_variables=names,
     )
 
@@ -300,12 +294,13 @@ class Branch:
     The slice is the Einstein system that *normalization*, *equalities* and
     *pairs* give to ``build_system``.  Every coordinate, every one of the
     *factors* and every one of the *units* (polynomial text) is assumed
-    non-zero.  The slice is saturated over the variable *order* by all of
-    them but the units, in one ``saturate`` call.  Each unit u is then
-    certified instead: the saturation J plus <u> is the unit ideal, so
-    saturating J by u changes nothing (sat(I, f u) = sat(sat(I, f), u)) and
-    J is the saturation by the whole product.  A unit that fails the check
-    is a ``DomainError``.
+    non-zero.  The slice is saturated by all of them but the units, in one
+    ``saturate`` call, under lex over the slice's free variables in index
+    order with *eliminate* moved last.  Each unit u is then certified
+    instead: the saturation J plus <u> is the unit ideal, so saturating J by
+    u changes nothing (sat(I, f u) = sat(sat(I, f), u)) and J is the
+    saturation by the whole product.  A unit that fails the check is a
+    ``DomainError``.
 
     With *eliminate* set, the univariate generator of the saturation in that
     variable loses the known *rational_roots* (each solved exactly), its
@@ -319,7 +314,6 @@ class Branch:
     normalization: dict[str, Fraction | int]
     equalities: dict[str, str]
     pairs: tuple[tuple[int, int], ...] | None
-    order: tuple[str, ...]
     factors: tuple[str, ...] = ()
     eliminate: str | None = None
     rational_roots: tuple[Fraction, ...] = ()
@@ -332,7 +326,7 @@ _REFINE_PRECISION = Fraction(1, 10**40)
 
 _ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
 G2_SYMMETRIC_ANSATZ = (
-    Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, ("x3", "x2"), eliminate="x2"),
+    Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, eliminate="x2"),
     # saturating by x2 (x6 - 1) alone gives the same basis as the whole
     # product, in 82 pairs and 174 coefficient bits instead of 121 and 775
     Branch(
@@ -340,12 +334,11 @@ G2_SYMMETRIC_ANSATZ = (
         {"x1": 1, "x5": 1},
         {"x4": "x3"},
         _ANSATZ_PAIRS,
-        ("x2", "x3", "x6"),
         ("x6 - 1",),
         "x6",
         units=("x3", "x6"),
     ),
-    Branch("x4 = x3 consistency", {"x1": 1, "x5": 1}, {}, None, ("x2", "x3", "x4", "x6"), ("x3 - x4",)),
+    Branch("x4 = x3 consistency", {"x1": 1, "x5": 1}, {}, None, ("x3 - x4",)),
 )
 G2_GENERAL_CASE = (
     Branch(
@@ -354,7 +347,6 @@ G2_GENERAL_CASE = (
         {},
         # the published cleared system pairs r1 with r6 rather than r5 with r6
         ((0, 1), (1, 2), (2, 3), (3, 4), (0, 5)),
-        ("x2", "x3", "x4", "x5", "x6"),
         ("1 - x5", "1 - x6", "x5 - x6"),
         "x6",
         # the Kaehler-Einstein orbit
@@ -403,13 +395,12 @@ def _solve_branch(
     budget: GroebnerBudget,
 ) -> tuple[CaseRecord, list[EinsteinSolution]]:
     system = build_system(spec, branch.normalization, branch.equalities, branch.pairs)
-    order = branch.order
-    nonvanishing = [*order, *branch.factors]
-    nonvanishing += [u for u in branch.units if u not in nonvanishing]
+    var = branch.eliminate
+    order = tuple(v for v in system.variables if v != var) + ((var,) if var else ())
     units = [parse_polynomial(u, order) for u in branch.units]
-    constraints = [p for p in (parse_polynomial(t, order) for t in nonvanishing) if p not in units]
+    constraints = [p for p in (parse_polynomial(t, order) for t in (*order, *branch.factors)) if p not in units]
     basis = saturate([p.with_variables(order) for p in system.polynomials], constraints, budget)
-    record = CaseRecord(name=branch.name, saturations=nonvanishing, status=basis.status)
+    record = CaseRecord(name=branch.name, status=basis.status)
     if not basis.complete:
         record.notes = _overrun_note("exact elimination", basis.stats)
         return record, []
@@ -422,14 +413,13 @@ def _solve_branch(
             return record, []
         if check.generators != one:
             raise DomainError(f"{branch.name}: {text} is not a unit modulo the saturated slice")
-    if branch.eliminate is None:
+    if var is None:
         factors = ", ".join(branch.factors)
         if basis.generators != one:
             raise DomainError(f"{branch.name}: saturating the slice by {factors} does not give the unit ideal")
         record.notes = f"saturating the slice by {factors} gives the unit ideal"
         return record, []
 
-    var = branch.eliminate
     univariate = next((g for g in basis.generators if g.support_vars() == (var,)), None)
     if univariate is None:
         raise DomainError(f"expected a univariate generator in {var}")
@@ -701,7 +691,6 @@ def newton_oracle(
     result.cases.append(
         CaseRecord(
             name="newton oracle",
-            saturations=[],
             notes=(
                 f"{starts} starts, seed {seed}, {len(found)} convergent, {len(groups)} classes; "
                 f"rejected: {', '.join(reasons)}; basin hits per class: {basins}"

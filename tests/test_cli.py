@@ -250,6 +250,31 @@ def test_einstein_failed_run_keeps_an_existing_report(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_einstein_failed_run_creates_no_report(tmp_path, capsys):
+    target = tmp_path / "new.json"
+    code, _, err = run(capsys, "einstein", "A2", "--mode", "symmetric", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert "specific to G2" in err
+    assert not target.exists()
+
+
+def test_einstein_write_that_fails_after_the_run_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "gone" / "report.json"
+    target.parent.mkdir()
+    real_oracle = cli.newton_oracle
+
+    def oracle_then_remove_directory(*args, **kwargs):
+        result = real_oracle(*args, **kwargs)
+        target.parent.rmdir()
+        return result
+
+    monkeypatch.setattr(cli, "newton_oracle", oracle_then_remove_directory)
+    code, out, err = run(capsys, "einstein", "A1", "--mode", "oracle", "--starts", "5", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot write {target}" in err
+
+
 def test_groebner_trivial(tmp_path, capsys):
     source = tmp_path / "sys.txt"
     source.write_text("x - 1\ny - x\n")

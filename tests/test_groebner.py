@@ -278,6 +278,13 @@ def test_saturation_by_nothing():
     assert saturate([f], []).generators == buchberger([f], LEX).generators
 
 
+def test_saturation_by_zero_is_rejected():
+    # t * 0 - 1 would make every ideal the unit ideal
+    f = parse_polynomial("x^2 - y", VARS)
+    with pytest.raises(DomainError, match="^saturation by zero$"):
+        saturate([f], [parse_polynomial("x", VARS), MultiPoly(VARS)])
+
+
 def test_saturation_removes_component():
     # V(x * (y - 1)) saturated by x leaves y = 1
     f = parse_polynomial("x*y - x", VARS)

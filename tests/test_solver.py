@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from pathlib import Path
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from flagein.polyalg.poly import (
 from flagein.rootsys import positive_roots, root_system, weyl_orbit_permutations
 from flagein import solver
 from flagein.solver import (
+    G2_GENERAL_CASE,
     G2_SYMMETRIC_ANSATZ,
     Branch,
     SolutionSet,
@@ -93,10 +95,17 @@ def test_cleared_polynomials_reexpand(g2):
     from flagein.curvature import _ricci_values
 
     values = _ricci_values([atoms[v] for v in system.all_variables], triple_tensor(g2))
-    for (i, j), poly, (shift, content) in zip(system.pairs, system.polynomials, system.clearings):
+    # the default pairs are consecutive, and none of their differences vanishes
+    assert len(system.polynomials) == len(values) - 1
+    order = TermOrder("grevlex", free)
+    for i, poly in enumerate(system.polynomials):
+        diff = values[i] - values[i + 1]
+        # a monomial multiple keeps the order of terms, so the leading terms
+        # give the clearing monomial and the scale
+        (d_exp, d_coeff), (p_exp, p_coeff) = (order.leading(p) for p in (diff, poly))
+        monomial = LaurentPoly(free, {tuple(p - d for p, d in zip(p_exp, d_exp)): F(1)})
         lhs = LaurentPoly(free, {tuple(e): c for e, c in poly.terms.items()})
-        monomial = LaurentPoly(free, {shift: F(1)})
-        assert (values[i] - values[j]) * monomial == lhs * content
+        assert diff * monomial == lhs * (d_coeff / p_coeff)
 
 
 @pytest.mark.parametrize("pair", [(0, 5), (4, 5)])
@@ -140,6 +149,18 @@ def test_build_system_trivial_rank_one():
     assert system.variables == ()
 
 
+def test_build_system_with_every_variable_assigned(g2):
+    """A fully assigned slice is the empty system when the assigned metric is
+    Einstein, and inconsistent otherwise."""
+    ke = dict(zip(("x1", "x2", "x3", "x4", "x5", "x6"), (3, 1, 4, 5, 6, 9)))
+    system = build_system(g2, normalization=ke)
+    assert (system.variables, system.polynomials) == ((), ())
+    assert system.metric_values({}) == (3, 1, 4, 5, 6, 9)
+    normal = {f"x{i}": 1 for i in range(1, 7)}
+    with pytest.raises(DomainError, match="^normalization makes the system inconsistent$"):
+        build_system(g2, normalization=normal)
+
+
 def test_metric_values_reconstruction(g2):
     system = build_system(
         g2, normalization={"x1": 1, "x5": 1}, equalities={"x4": "x3"},
@@ -164,8 +185,6 @@ def test_symmetric_ansatz_case_log(ansatz_result):
     assert second.real_roots == 2
     assert second.positive_roots == 2
     assert check.notes == "saturating the slice by x3 - x4 gives the unit ideal"
-    assert "x3 - x4" in check.saturations
-    assert "x6 - 1" not in check.saturations
 
 
 def test_symmetric_ansatz_solutions(ansatz_result):
@@ -275,8 +294,7 @@ def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
     real_saturate = solver.saturate
     # the first, middle and last row overrun in turn; the x6 = 1 row has no
     # solutions, so only an overrun in the x6 != 1 row loses the two metrics
-    for row, found in ((0, 2), (1, 0), (2, 2)):
-        overrun = G2_SYMMETRIC_ANSATZ[row].order
+    for row, overrun, found in ((0, ("x3", "x2"), 2), (1, ("x2", "x3", "x6"), 0), (2, ("x2", "x3", "x4", "x6"), 2)):
 
         def fake_saturate(generators, nonvanishing, budget=None, overrun=overrun):
             names = generators[0].vars
@@ -327,7 +345,6 @@ def test_branch_engine_solves_rational_roots_exactly(g2):
         {"x1": 1, "x2": F(1, 3), "x3": F(4, 3)},
         {},
         ((1, 2), (2, 3), (3, 4)),
-        ("x4", "x5", "x6"),
         eliminate="x6",
         rational_roots=(F(3),),
     )
@@ -346,7 +363,7 @@ def test_branch_engine_solves_rational_roots_exactly(g2):
 
 def test_branch_engine_rejects_missing_rational_root(g2):
     branch = Branch(
-        "slice", {"x1": 1, "x2": F(1, 3), "x3": F(4, 3)}, {}, None, ("x4", "x5", "x6"),
+        "slice", {"x1": 1, "x2": F(1, 3), "x3": F(4, 3)}, {}, None,
         eliminate="x6", rational_roots=(F(2),),
     )
     with pytest.raises(DomainError, match="rational root 2 missing"):
@@ -360,14 +377,23 @@ def test_branch_engine_checks_each_rational_root_exactly(g2):
         solve_branches(g2, "x1 = x5 = 1", (branch,))
 
 
-def _saturate_spy(monkeypatch):
-    """Record every saturate call the engine makes, with its result."""
+def _saturate_spy(monkeypatch, overrun=False):
+    """Record every saturate call the engine makes as (variables, factors
+    saturated by, result); with *overrun* a call reports a pair-budget overrun
+    at once instead of running."""
+    from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
+
     calls = []
     real_saturate = solver.saturate
 
     def spy(generators, nonvanishing, budget=None):
-        calls.append((generators[0].vars, real_saturate(generators, nonvanishing, budget)))
-        return calls[-1][1]
+        names = generators[0].vars
+        if overrun:
+            basis = GroebnerBasis([], TermOrder("lex", names), GroebnerStats(budget_limit="pairs"))
+        else:
+            basis = real_saturate(generators, nonvanishing, budget)
+        calls.append((names, nonvanishing, basis))
+        return basis
 
     monkeypatch.setattr(solver, "saturate", spy)
     return calls
@@ -380,7 +406,7 @@ def test_x6_ne_1_units_leave_the_full_saturation(g2, monkeypatch):
 
     calls = _saturate_spy(monkeypatch)
     result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
-    [(names, basis)] = calls
+    [(names, nonvanishing, basis)] = calls
     assert names == ("x2", "x3", "x6")
     stats = basis.stats
     assert (stats.pairs_processed, stats.max_coeff_bits) == (82, 174)
@@ -390,8 +416,8 @@ def test_x6_ne_1_units_leave_the_full_saturation(g2, monkeypatch):
     full = saturate(golden, constraints)
     assert full.stats.pairs_processed == 121
     assert basis.generators == full.generators
-    # the case log still names every factor the branch assumes non-zero
-    assert result.cases[0].saturations == ["x2", "x3", "x6", "x6 - 1"]
+    # the row saturates by x2 (x6 - 1) alone
+    assert nonvanishing == [constraints[0], constraints[-1]]
     assert len(result.solutions) == 2
 
 
@@ -419,11 +445,24 @@ def test_unit_check_overrun_makes_status_budget_exceeded(g2, monkeypatch):
 
 
 def test_each_row_makes_one_saturate_call(g2, monkeypatch):
-    """The unit checks run through buchberger, so each row is one saturation."""
-    calls = _saturate_spy(monkeypatch)
-    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", G2_SYMMETRIC_ANSATZ)
-    assert result.status == "complete"
-    assert [names for names, _ in calls] == [branch.order for branch in G2_SYMMETRIC_ANSATZ]
+    """The unit checks run through buchberger, so each row is one saturation.
+    Its variables are the slice's free variables with the eliminated one
+    last: the tuples by which the benchmark's span recorder names the rows."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import BRANCHES
+
+    keys = list(BRANCHES)
+    ansatz = [["x3", "x2"], ["x2", "x6 - 1"], ["x2", "x3", "x4", "x6", "x3 - x4"]]
+    general = [["x2", "x3", "x4", "x5", "x6", "-x5 + 1", "-x6 + 1", "x5 - x6"]]
+    # the general row reports an overrun at once instead of its seconds-long attempt
+    for branches, status, names, factors in (
+        (G2_SYMMETRIC_ANSATZ, "complete", keys[:3], ansatz),
+        (G2_GENERAL_CASE, "budget_exceeded", keys[3:], general),
+    ):
+        calls = _saturate_spy(monkeypatch, overrun=branches is G2_GENERAL_CASE)
+        assert solve_branches(g2, "slice", branches).status == status
+        assert [variables for variables, _, _ in calls] == names
+        assert [[format_polynomial(p) for p in nonvanishing] for _, nonvanishing, _ in calls] == factors
 
 
 def _x3_enclosure(monkeypatch, enclosure):
