@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .isotropy import TripleTensor, triple_tensor
-from .polyalg.poly import LaurentPoly, content
+from .isotropy import TripleTensor
+from .polyalg.poly import content
 from .rootsys import Root, RootSystemSpec, killing_form, positive_roots
 
 Scalar = Fraction | float
@@ -94,16 +94,6 @@ def ricci(metric: InvariantMetric, triples: TripleTensor) -> RicciComponents:
     values = _ricci_values(list(metric.x), triples)
     scalar = sum(2 * v for v in values)
     return RicciComponents(r=tuple(values), scalar_curvature=scalar)
-
-
-def ricci_symbolic(spec: RootSystemSpec, variables: tuple[str, ...] | None = None) -> list[LaurentPoly]:
-    """Ricci components with the metric entries as symbols x1..xs."""
-    s = len(positive_roots(spec))
-    variables = variables or tuple(f"x{i + 1}" for i in range(s))
-    if len(variables) != s:
-        raise DomainError("need one variable per positive root")
-    xs = [LaurentPoly.variable(v, variables) for v in variables]
-    return _ricci_values(xs, triple_tensor(spec))
 
 
 def einstein_residual(metric: InvariantMetric, triples: TripleTensor) -> tuple[Scalar, Scalar]:

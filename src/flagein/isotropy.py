@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DomainError
 from .rootsys import KillingForm, Root, RootSystemSpec, killing_form, positive_roots
@@ -31,10 +30,8 @@ class RootString:
     q: int
 
 
-def root_string(alpha: Root, beta: Root, roots: frozenset[tuple[int, ...]] | tuple[Root, ...]) -> RootString:
-    """Scan the root set for the alpha-string through beta."""
-    if isinstance(roots, tuple):
-        roots = frozenset(r.coeffs for r in roots)
+def root_string(alpha: Root, beta: Root, roots: frozenset[tuple[int, ...]]) -> RootString:
+    """Scan the root set (coefficient tuples) for the alpha-string through beta."""
     if beta.coeffs == alpha.coeffs or beta.coeffs == (-alpha).coeffs:
         raise DomainError("root string undefined for proportional roots")
 
@@ -51,10 +48,8 @@ def root_string(alpha: Root, beta: Root, roots: frozenset[tuple[int, ...]] | tup
     return RootString(p=walk(-1), q=walk(+1))
 
 
-def n_squared(alpha: Root, beta: Root, form: KillingForm, roots) -> Fraction:
+def n_squared(alpha: Root, beta: Root, form: KillingForm, roots: frozenset[tuple[int, ...]]) -> Fraction:
     """Squared bracket constant for the pair (alpha, beta); 0 when alpha+beta is not a root."""
-    if isinstance(roots, tuple):
-        roots = frozenset(r.coeffs for r in roots)
     total = tuple(a + b for a, b in zip(alpha.coeffs, beta.coeffs))
     if total not in roots:
         return Fraction(0)
@@ -68,26 +63,6 @@ class TripleTensor:
 
     entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
     dims: tuple[int, ...]
-
-    def value(self, i: int, j: int, k: int) -> Fraction:
-        key = tuple(sorted((i, j, k)))
-        return self._lookup.get(key, Fraction(0))
-
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int, int], Fraction]:
-        # kept in the instance dict, outside the fields that equality and hashing use
-        return dict(self.entries)
-
-    def permuted(self, sigma: tuple[int, ...]) -> "TripleTensor":
-        """Apply an index permutation; used to check Weyl invariance."""
-        inverse = [0] * len(sigma)
-        for pos, image in enumerate(sigma):
-            inverse[image] = pos
-        moved = sorted(
-            (tuple(sorted((inverse[i], inverse[j], inverse[k]))), v)
-            for (i, j, k), v in self.entries
-        )
-        return TripleTensor(entries=tuple(moved), dims=self.dims)
 
     def to_records(self) -> list[dict]:
         """JSON-ready records with 1-based indices and exact rational strings."""

@@ -500,6 +500,7 @@ def _fglm(
     basis: list[_Poly],
     ring: _Monomials,
     target: _Monomials,
+    budget: GroebnerBudget,
     stats: GroebnerStats,
 ) -> list[_Poly]:
     """Convert a zero-dimensional reduced basis to *target*'s order by linear algebra.
@@ -516,7 +517,11 @@ def _fglm(
     already visited monomials with NF(C) = R, and eliminating against a row
     scales by the reduced ratio of the two pivot entries.  A row is primitive,
     so a normal form's scale does not change it.
+
+    The budget's bit limit bounds each normal form, as in _reduce, and each
+    generator emitted; the generators' bits count in *stats*.
     """
+    stats.conversion = "grevlex+fglm"
     reducers = _Reducers(basis)
     # pivot -> (row, combination keyed by target-packed monomials)
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
@@ -561,18 +566,21 @@ def _fglm(
         if any(target.divides(l, key) for l in new_leads):
             continue
         shifted = {ring.mul(m, step): c for m, c in parent.items()}
-        remainder, scale = _reduce(shifted, parent_scale, reducers, ring)
+        remainder, scale = _reduce(shifted, parent_scale, reducers, ring, budget.max_coeff_bits)
         row, combo = eliminated(remainder, {key: scale})
         if not row:
             # NF(combo) = 0: a new generator with leading monomial key
-            out.append(_reducer(_primitive(combo), target))
+            generator = _primitive(combo)
+            stats.max_coeff_bits = max(stats.max_coeff_bits, *(c.bit_length() for c in generator.values()))
+            if stats.max_coeff_bits > budget.max_coeff_bits:
+                raise _BudgetExceeded("coeff_bits")
+            out.append(_reducer(generator, target))
             new_leads.append(key)
         else:
             pivots[max(row)] = (row, combo)
             normal_form = (remainder, scale)
             for ring_step, target_step in steps:
                 push(target.mul(key, target_step), normal_form, ring_step)
-    stats.conversion = "grevlex+fglm"
     # each generator is its lead minus target-standard monomials, in lead
     # order: the reduced basis as it stands
     return out
@@ -611,7 +619,7 @@ def buchberger(
         final = _buchberger_loop(_interreduce(seeds, first, budget.max_coeff_bits), first, budget, stats)
         if first is not ring:
             if _is_zero_dimensional(final, first):
-                final = _fglm(final, first, ring, stats)
+                final = _fglm(final, first, ring, budget, stats)
             else:
                 final = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
     except _BudgetExceeded as exc:

@@ -181,18 +181,6 @@ class MultiPoly(_SparsePoly):
                     used[i] = True
         return tuple(v for v, u in zip(self.vars, used) if u)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __repr__(self):
         return f"MultiPoly({format_polynomial(self)})"
 
@@ -218,25 +206,6 @@ class MultiPoly(_SparsePoly):
                     new[position[v]] = e
             out[tuple(new)] = c
         return MultiPoly(variables, out)
-
-    def substitute(self, assignment: dict[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
-        """Replace variables by constants or polynomials over the same variable list."""
-        result = MultiPoly(self.vars)
-        for exp, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, self.vars)
-            for v, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                if v in assignment:
-                    value = assignment[v]
-                    if isinstance(value, MultiPoly):
-                        term = term * value**e
-                    else:
-                        term = term * (Fraction(value) ** e)
-                else:
-                    term = term * MultiPoly.variable(v, self.vars) ** e
-            result = result + term
-        return result
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.vars.index(name)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import DomainError
-from .poly import MultiPoly
 
 Coeffs = list[Fraction]  # dense, ascending
 IntCoeffs = list[int]  # dense, ascending, a positive multiple of a Coeffs
@@ -173,21 +172,8 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-
-def _as_coeffs(p: MultiPoly | Coeffs) -> Coeffs:
-    if isinstance(p, MultiPoly):
-        names = p.support_vars()
-        if len(names) > 1:
-            raise DomainError("polynomial is not univariate")
-        return p.univariate_in(names[0] if names else p.vars[0])
-    return [Fraction(v) for v in p]
 
 
 def root_count(chain: list[IntCoeffs], lo, hi) -> int:
@@ -196,7 +182,7 @@ def root_count(chain: list[IntCoeffs], lo, hi) -> int:
 
 
 def sturm_isolate(
-    poly: MultiPoly | Coeffs,
+    poly: Coeffs,
     rng: tuple[Fraction | None, Fraction | None] | None = None,
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals for all real roots in the open range *rng*.
@@ -205,7 +191,7 @@ def sturm_isolate(
     bisection point come back as zero-width intervals.  rng bounds of None
     mean unbounded on that side.
     """
-    coeffs = _strip(_as_coeffs(poly))
+    coeffs = _strip(list(poly))
     if not coeffs:
         raise DomainError("zero polynomial")
     if len(coeffs) == 1:

@@ -158,11 +158,6 @@ def positive_roots(spec: RootSystemSpec) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-def all_roots(spec: RootSystemSpec) -> tuple[Root, ...]:
-    pos = positive_roots(spec)
-    return pos + tuple(-r for r in pos)
-
-
 @dataclass(frozen=True)
 class KillingForm:
     """Bilinear form Q on the simple-root basis, Killing-normalized."""

@@ -328,7 +328,7 @@ _ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
 G2_SYMMETRIC_ANSATZ = (
     Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, eliminate="x2"),
     # saturating by x2 (x6 - 1) alone gives the same basis as the whole
-    # product, in 82 pairs and 174 coefficient bits instead of 121 and 775
+    # product, in 82 pairs and 193 coefficient bits instead of 121 and 775
     Branch(
         "x6 != 1",
         {"x1": 1, "x5": 1},

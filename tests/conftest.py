@@ -1,6 +1,7 @@
 import pytest
 
-from flagein.rootsys import root_system
+from flagein.polyalg.poly import MultiPoly
+from flagein.rootsys import positive_roots, root_system
 from flagein.solver import solve_symmetric_ansatz
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
@@ -20,3 +21,17 @@ def a2():
 def ansatz_result(g2):
     """The exact symmetric-ansatz pipeline, shared across tests (a few seconds)."""
     return solve_symmetric_ansatz(g2)
+
+
+def all_roots(spec):
+    """The positive roots of *spec* followed by their negatives."""
+    pos = positive_roots(spec)
+    return pos + tuple(-r for r in pos)
+
+
+def at_x6_equal_one(p):
+    """p(x2, x3, 1) over the variables (x3, x2), for p over (x2, x3, x6)."""
+    terms = {}
+    for (e2, e3, _), c in p.terms.items():
+        terms[(e3, e2)] = terms.get((e3, e2), 0) + c
+    return MultiPoly(("x3", "x2"), terms)

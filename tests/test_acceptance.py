@@ -6,16 +6,14 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from flagein.cli import main as cli_main
 from flagein.curvature import (
     InvariantMetric,
+    _ricci_values,
     apply_permutation,
     einstein_residual,
     kaehler_einstein_metric,
     ricci,
-    ricci_symbolic,
 )
 from flagein.isotropy import triple_tensor
 from flagein.polyalg.groebner import (
@@ -32,14 +30,12 @@ from flagein.polyalg.poly import (
     parse_polynomial_file,
 )
 from flagein.polyalg.realroots import (
-    refine_root,
     root_count,
     square_free_part,
     sturm_chain,
     sturm_isolate,
 )
 from flagein.rootsys import (
-    all_roots,
     killing_form,
     positive_roots,
     root_system,
@@ -50,8 +46,9 @@ from flagein.solver import (
     build_system,
     classify_full,
     solve_general_case,
-    solve_symmetric_ansatz,
 )
+
+from conftest import all_roots, at_x6_equal_one
 
 GROUPS = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
 
@@ -136,7 +133,7 @@ def test_criterion_03_symbolic_ricci_identity():
     names = tuple(f"x{i + 1}" for i in range(6))
     atoms = [LaurentPoly.variable(v, names) for v in names]
     printed = _closed_form_components(atoms)
-    computed = ricci_symbolic(root_system("G2"))
+    computed = _ricci_values(atoms, triple_tensor(root_system("G2")))
     identity = True
     for a, b in zip(computed, printed):
         difference, _ = (a - b).cleared()
@@ -201,9 +198,8 @@ def test_criterion_06_degenerate_branch():
     golden = parse_polynomial_file(
         open("tests/data/g2_symmetric_system.txt").read(), ("x2", "x3", "x6")
     )
-    substituted = [p.substitute({"x6": 1}).with_variables(("x3", "x2")) for p in golden]
     basis = saturate(
-        substituted, [MultiPoly.variable(v, ("x3", "x2")) for v in ("x3", "x2")]
+        [at_x6_equal_one(p) for p in golden], [MultiPoly.variable(v, ("x3", "x2")) for v in ("x3", "x2")]
     )
     quadratic = next(
         (g for g in basis.generators if g.support_vars() == ("x2",)), None
@@ -214,7 +210,7 @@ def test_criterion_06_degenerate_branch():
         content = quadratic.content()
         normalized = [c / content for c in coeffs]
         ok = normalized == [F(9), F(-20), F(15)]
-        ok = ok and sturm_isolate(quadratic) == []
+        ok = ok and sturm_isolate(coeffs) == []
     _report(6, ok, "x6 = 1 branch gives 15*x2^2 - 20*x2 + 9 with zero certified real roots")
 
 
@@ -269,13 +265,11 @@ def test_criterion_09b_triple_symmetry_and_weyl_invariance():
     cases = 0
     for _ in range(200):
         spec = root_system(rng.choice(GROUPS))
-        tensor = triple_tensor(spec)
-        s = len(positive_roots(spec))
-        i, j, k = (rng.randrange(s) for _ in range(3))
-        value = tensor.value(i, j, k)
-        assert value == tensor.value(j, i, k) == tensor.value(k, j, i) == tensor.value(i, k, j)
+        entries = triple_tensor(spec).entries
+        # one entry per unordered triple: keys are strictly increasing
+        assert all(list(key) == sorted(set(key)) for key, _ in entries)
         sigma = rng.choice(weyl_orbit_permutations(spec))
-        assert tensor.permuted(sigma).entries == tensor.entries
+        assert tuple(sorted((tuple(sorted(sigma[i] for i in key)), v) for key, v in entries)) == entries
         cases += 1
     _report(9, cases >= 200, f"triple symmetry + Weyl invariance: {cases} cases (part b)")
 

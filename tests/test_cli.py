@@ -1,7 +1,6 @@
 import json
 import os
 from pathlib import Path
-from fractions import Fraction as F
 
 import pytest
 
@@ -11,7 +10,6 @@ from flagein.polyalg.groebner import saturate
 from flagein.polyalg.poly import MultiPoly, format_polynomial
 from flagein import solver
 from flagein.solver import build_system
-from flagein.rootsys import root_system
 
 
 DATA = Path(__file__).parent / "data"
@@ -281,6 +279,20 @@ def test_groebner_trivial(tmp_path, capsys):
     code, out, _ = run(capsys, "groebner", str(source), "--order", "lex", "--vars", "x,y")
     assert code == EXIT_OK
     assert "x - 1" in out and "y - 1" in out
+
+
+def test_groebner_bit_budget_covers_the_fglm_pass(tmp_path, capsys):
+    # the grevlex pass stays at 12 bits; FGLM would emit 100-bit coefficients
+    source = tmp_path / "sys.txt"
+    source.write_text(
+        "20*x*z + 23*y + 9 + 24*z + 16*z^2\n"
+        "21*x^2 + 15 + 10*z + 19*z^2 + 20*x\n"
+        "25*x*z + 12*z^2 + 28 + 20*y^2 + 9*z\n"
+    )
+    code, out, _ = run(capsys, "groebner", str(source), "--order", "lex", "--budget-bits", "24", "--format", "json")
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert (payload["status"], payload["generators"]) == ("budget_exceeded", [])
 
 
 def test_groebner_empty_file(tmp_path, capsys):

@@ -195,6 +195,31 @@ def test_bit_budget_bounds_the_lex_pass():
     assert result.stats.budget_limit == "coeff_bits"
 
 
+_FGLM_BITS_IDEAL = (
+    "20*x*z + 23*y + 9 + 24*z + 16*z^2",
+    "21*x^2 + 15 + 10*z + 19*z^2 + 20*x",
+    "25*x*z + 12*z^2 + 28 + 20*y^2 + 9*z",
+)
+
+
+@pytest.mark.parametrize(
+    "max_coeff_bits, status, stat",
+    [
+        # a normal form inside FGLM trips the limit before any generator
+        (24, "budget_exceeded", 12),
+        # the last generator FGLM emits has 100-bit coefficients
+        (99, "budget_exceeded", 100),
+        (100, "complete", 100),
+    ],
+)
+def test_bit_budget_bounds_the_fglm_pass(max_coeff_bits, status, stat):
+    # the grevlex pass takes 2 pairs at 12 bits; FGLM's output counts too
+    gens = [parse_polynomial(t, XYZ) for t in _FGLM_BITS_IDEAL]
+    basis = buchberger(gens, TermOrder("lex", XYZ), GroebnerBudget(max_coeff_bits=max_coeff_bits))
+    assert (basis.status, basis.stats.max_coeff_bits, basis.stats.conversion) == (status, stat, "grevlex+fglm")
+    assert basis.stats.pairs_processed == 2
+
+
 def test_pair_budget_bounds_the_lex_pass(ansatz_generators):
     # the grevlex pass stops at 24 pairs on this non-zero-dimensional ideal;
     # the lex pass must hit the pair budget, not run unbounded before it
@@ -483,9 +508,9 @@ def test_fglm_staircase_at_the_field_width(y_degree, fits):
     stats = GroebnerStats()
     if not fits:
         with pytest.raises(DomainError):
-            _fglm(basis, ring, target, stats)
+            _fglm(basis, ring, target, GroebnerBudget(), stats)
         return
-    lex = _fglm(basis, ring, target, stats)
+    lex = _fglm(basis, ring, target, GroebnerBudget(), stats)
     assert stats.conversion == "grevlex+fglm"
     # the lex staircase is y^0..y^15, well past total degree 7: only its
     # normal forms, which stay under the grevlex staircase, meet the 3-bit ring

@@ -1,11 +1,13 @@
 """Source guards: no module-level memo caches or containers, no numpy in the
-polynomial layer and no numpy.random in the oracle, and package __init__
-files that import nothing (the ``flagein`` command is the one entry point)."""
+polynomial layer and no numpy.random in the oracle, package __init__ files
+that import nothing (the ``flagein`` command is the one entry point), and no
+function, class or method that nothing in the package refers to."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -175,3 +177,74 @@ def test_no_module_level_containers_in_the_package():
         if (lines := _module_level_containers(path.read_text()))
     }
     assert found == {}
+
+
+# rational-boundary entry points that no program path calls: tests certify
+# the integer kernels through them against independent references (the
+# Buchberger criterion, textbook division, sympy, pinned square-free parts)
+_TEST_ENTRY_POINTS = {"reduce_poly", "s_polynomial", "square_free_part"}
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is read as a Name, an Attribute or an import alias."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and non-dunder methods of
+    module-level classes, whose name appears nowhere in *sources* outside
+    their own definition.
+
+    The match is by name alone, so a definition escapes when any other name
+    in the package is spelled the same: a method ``value`` or ``width`` is
+    never flagged while some local variable is called ``value`` or ``width``.
+    """
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    total = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+            for label, definition in members:
+                if total[definition.name] == _referenced_names(definition)[definition.name]:
+                    found.append(f"{path}:{label}")
+    return found
+
+
+def test_dead_definition_guard_flags_each_kind():
+    sources = {
+        "a.py": (
+            "from .b import used\n"
+            "def dead(): return dead()\n"
+            "class Box:\n"
+            "    def __len__(self): return 0\n"
+            "    def kept(self): return 1\n"
+            "    def spare(self): return self.spare()\n"
+            "print(Box().kept(), used)\n"
+        ),
+        # the variable ``value`` hides the unused function of that name
+        "b.py": "def used(): pass\nclass Unused: pass\nvalue = 1\ndef value(): pass\n",
+    }
+    assert _unreferenced(sources) == ["a.py:dead", "a.py:Box.spare", "b.py:Unused"]
+
+
+def test_every_definition_is_reached_from_the_package():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    found = [label for label in _unreferenced(sources) if label.rsplit(":", 1)[1] not in _TEST_ENTRY_POINTS]
+    assert found == []

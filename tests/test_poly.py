@@ -51,12 +51,6 @@ def test_product_of_conjugates():
     assert x_plus_y * x_minus_y == parse_polynomial("x^2 - y^2", VARS)
 
 
-def test_power():
-    f = parse_polynomial("x + 1", ("x",))
-    assert f**3 == parse_polynomial("x^3 + 3*x^2 + 3*x + 1", ("x",))
-    assert f**0 == MultiPoly.constant(1, ("x",))
-
-
 def test_variable_mismatch_rejected():
     f = parse_polynomial("x + 1", ("x",))
     g = parse_polynomial("y + 1", ("y",))
@@ -67,11 +61,6 @@ def test_variable_mismatch_rejected():
 def test_content():
     f = parse_polynomial("6*x^2 - 4*x", ("x",))
     assert f.content() == F(2)
-
-
-def test_substitute():
-    f = parse_polynomial("x^2*y + 2*y", VARS)
-    assert f.substitute({"x": F(3)}) == parse_polynomial("11*y", VARS)
 
 
 def test_derivative():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from flagein.errors import ConfigurationError, DomainError
 from flagein.rootsys import (
     Root,
-    all_roots,
     killing_form,
     long_short_split,
     positive_roots,
@@ -16,7 +15,7 @@ from flagein.rootsys import (
     weyl_reflect,
 )
 
-from conftest import SMALL_GROUPS
+from conftest import SMALL_GROUPS, all_roots
 
 
 def test_g2_positive_roots_ordered():
