@@ -30,6 +30,7 @@ from .polyalg.realroots import refine_root, sturm_isolate
 from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
     build_system,
+    check_oracle_run,
     classify_full,
     json_scalar,
     newton_oracle,
@@ -64,10 +65,10 @@ def emit_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
-def _parse_metric(text: str, size: int) -> InvariantMetric:
+def _parse_metric(text: str) -> InvariantMetric:
+    """The metric a --metric value spells; ``ricci`` checks its length and
+    positivity."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    if len(parts) != size:
-        raise ConfigurationError(f"metric needs {size} entries, got {len(parts)}")
     values = []
     for p in parts:
         try:
@@ -78,8 +79,6 @@ def _parse_metric(text: str, size: int) -> InvariantMetric:
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigurationError(f"bad metric entry {p!r}")
         values.append(v)
-    if any((v <= 0) for v in values):
-        raise DomainError("metric entries must be positive")
     return InvariantMetric(tuple(values))
 
 
@@ -129,8 +128,7 @@ def cmd_triples(args, out) -> int:
 
 def cmd_ricci(args, out) -> int:
     spec = root_system(args.group)
-    size = len(positive_roots(spec))
-    metric = _parse_metric(args.metric, size)
+    metric = _parse_metric(args.metric)
     tensor = triple_tensor(spec)
     components = ricci(metric, tensor)
     k, residual = einstein_residual(metric, tensor)
@@ -180,12 +178,7 @@ def cmd_kaehler(args, out) -> int:
 
 
 def cmd_einstein(args, out) -> int:
-    if not (0 < args.precision < 1):
-        raise ConfigurationError("precision must lie in (0, 1)")
-    if args.starts < 1:
-        raise ConfigurationError("starts must be >= 1")
-    if args.seed < 0:
-        raise ConfigurationError("seed must be >= 0")
+    check_oracle_run(args.starts, args.seed, args.precision)
     # a given budget flag overrides that field of each branch's budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)

@@ -87,10 +87,10 @@ def _ricci_values(x, triples: TripleTensor):
 
 def ricci(metric: InvariantMetric, triples: TripleTensor) -> RicciComponents:
     """Ricci components of an invariant metric; exactness follows the input."""
-    if not all(v > 0 for v in metric.x):
-        raise DomainError(f"metric entries must be positive: {metric.x}")
     if len(metric.x) != len(triples.dims):
-        raise DomainError("metric length does not match the isotropy decomposition")
+        raise DomainError(f"metric needs {len(triples.dims)} entries, got {len(metric.x)}")
+    if not all(v > 0 for v in metric.x):
+        raise DomainError("metric entries must be positive")
     values = _ricci_values(list(metric.x), triples)
     scalar = sum(2 * v for v in values)
     return RicciComponents(r=tuple(values), scalar_curvature=scalar)

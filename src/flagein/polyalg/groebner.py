@@ -53,7 +53,6 @@ class GroebnerStats:
     pairs_discarded: int = 0
     basis_size: int = 0
     max_coeff_bits: int = 0
-    conversion: str = "direct"
     budget_limit: str | None = None  # "pairs" or "coeff_bits" once a budget trips
 
 
@@ -521,7 +520,6 @@ def _fglm(
     The budget's bit limit bounds each normal form, as in _reduce, and each
     generator emitted; the generators' bits count in *stats*.
     """
-    stats.conversion = "grevlex+fglm"
     reducers = _Reducers(basis)
     # pivot -> (row, combination keyed by target-packed monomials)
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}

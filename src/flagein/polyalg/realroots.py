@@ -107,12 +107,6 @@ def square_free_part(c: Coeffs) -> Coeffs:
     return [Fraction(v) for v in _square_free(_strip(_integer(c)))]
 
 
-def sturm_chain(c: Coeffs) -> list[IntCoeffs]:
-    """Sturm chain of c; each member is a positive multiple of the classical
-    one (c, c', -rem, ...), with integer coefficients."""
-    return _sturm_chain(_strip(_integer(c)))
-
-
 def _powers(q: int, n: int) -> list[int]:
     out = [1]
     for _ in range(n):
@@ -143,18 +137,26 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _evaluate(chain: list[IntCoeffs], x) -> tuple[int, int]:
-    """The sign of chain[0] and the chain's sign variations at a point, from
-    one evaluation of the chain; x may be a rational or '+inf' / '-inf'."""
-    if x == "+inf":
-        values = [poly[-1] for poly in chain]
-    elif x == "-inf":
-        values = [poly[-1] if len(poly) % 2 else -poly[-1] for poly in chain]
-    else:
-        p, powers = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
-        values = [_scaled_value(poly, p, powers) for poly in chain]
+def _variations(values: list[int]) -> int:
+    """Sign changes along *values*, zeros skipped."""
     signs = [v > 0 for v in values if v]
-    return _sign(values[0]), sum(a != b for a, b in zip(signs, signs[1:]))
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _evaluate(chain: list[IntCoeffs], x: Fraction) -> tuple[int, int]:
+    """The sign of chain[0] and the chain's sign variations at x, from one
+    evaluation of the chain."""
+    p, powers = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
+    values = [_scaled_value(poly, p, powers) for poly in chain]
+    return _sign(values[0]), _variations(values)
+
+
+def real_root_count(poly: Coeffs) -> int:
+    """Distinct real roots of *poly*: its Sturm chain's sign variations at
+    -inf less those at +inf, read off the leading coefficients."""
+    chain = _sturm_chain(_strip(_integer(poly)))
+    at_minus_inf = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _variations(at_minus_inf) - _variations([c[-1] for c in chain])
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,6 @@ class IsolatingInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-
-def root_count(chain: list[IntCoeffs], lo, hi) -> int:
-    """Distinct roots in (lo, hi] of the polynomial whose chain this is."""
-    return _evaluate(chain, lo)[1] - _evaluate(chain, hi)[1]
 
 
 def sturm_isolate(

@@ -35,9 +35,8 @@ from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_pol
 from .polyalg.realroots import (
     deflate,
     interval_eval,
+    real_root_count,
     refine_root,
-    root_count,
-    sturm_chain,
     sturm_isolate,
 )
 from .rootsys import RootSystemSpec, positive_roots, weyl_orbit_permutations
@@ -427,8 +426,7 @@ def _solve_branch(
     remaining = univariate.univariate_in(var)
     for root in branch.rational_roots:
         remaining = deflate(remaining, root)
-    # Sturm variations at -inf and +inf count the distinct real roots without isolating them
-    record.real_roots = root_count(sturm_chain(remaining), "-inf", "+inf")
+    record.real_roots = real_root_count(remaining)
     positive = sturm_isolate(remaining, rng=(Fraction(0), None))
     record.positive_roots = len(positive)
 
@@ -505,6 +503,17 @@ _OUTCOMES = ("convergent", "non-finite", "singular Jacobian", "iteration cap", "
 _CONVERGED, _NON_FINITE, _SINGULAR, _ITERATION_CAP, _NON_POSITIVE = range(len(_OUTCOMES))
 
 
+def check_oracle_run(starts: int, seed: int, tol: float) -> None:
+    """Reject an oracle run that could not give a meaningful result: ``tol``
+    outside (0, 1), fewer than one start or a negative seed."""
+    if not (0 < tol < 1):
+        raise ConfigurationError("precision must lie in (0, 1)")
+    if starts < 1:
+        raise ConfigurationError("starts must be >= 1")
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
+
+
 def newton_oracle(
     system: EinsteinSystem,
     starts: int = 100_000,
@@ -519,12 +528,9 @@ def newton_oracle(
 
     The case note counts the starts rejected for each reason and the points
     that reached each class (its basin hits), in class order."""
+    check_oracle_run(starts, seed, tol)
     import numpy as np
 
-    if starts < 1:
-        raise ConfigurationError("starts must be >= 1")
-    if seed < 0:
-        raise ConfigurationError("seed must be >= 0")
     spec = system.spec
     data = _root_data(spec)
     result = SolutionSet(group=spec.type_label, normalization=_normalization_text(system))
@@ -718,9 +724,8 @@ def classify_full(
     For G2 this reproduces the full classification; for other groups the
     result is a search, not a completeness claim.
     """
-    # checked before the exact branches run, not only by the oracle
-    if seed < 0:
-        raise ConfigurationError("seed must be >= 0")
+    # before the exact branches, so a bad oracle run fails at once
+    check_oracle_run(starts, seed, tol)
     kaehler = kaehler_einstein_solution(spec)
     parts = [solve_symmetric_ansatz(spec, budget), solve_general_case(spec, budget)] if spec.type_label == "G2" else []
     parts.append(newton_oracle(build_system(spec, normalization={"x1": 1}), starts=starts, seed=seed, tol=tol))

@@ -1,5 +1,6 @@
 import pytest
 
+from flagein.polyalg import groebner
 from flagein.polyalg.poly import MultiPoly
 from flagein.rootsys import positive_roots, root_system
 from flagein.solver import solve_symmetric_ansatz
@@ -21,6 +22,21 @@ def a2():
 def ansatz_result(g2):
     """The exact symmetric-ansatz pipeline, shared across tests (a few seconds)."""
     return solve_symmetric_ansatz(g2)
+
+
+@pytest.fixture
+def fglm_calls(monkeypatch):
+    """One entry per call of ``groebner._fglm`` from here on, a call that
+    raises included: empty when every basis came straight from the pair loop."""
+    calls = []
+    convert = groebner._fglm
+
+    def spy(*args):
+        calls.append(args)
+        return convert(*args)
+
+    monkeypatch.setattr(groebner, "_fglm", spy)
+    return calls
 
 
 def all_roots(spec):

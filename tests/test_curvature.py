@@ -59,6 +59,22 @@ def test_nonpositive_metric_rejected(g2_triples):
         InvariantMetric.exact([])
 
 
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        # the length is checked first: a zero entry in a short metric is
+        # reported as the wrong length
+        (InvariantMetric.exact([0, 1, 1]), "^metric needs 6 entries, got 3$"),
+        (InvariantMetric.exact([0, 1, 1, 1, 1, 1]), "^metric entries must be positive$"),
+        (InvariantMetric.floating([1, 1, 1, 1, 1, -0.5]), "^metric entries must be positive$"),
+    ],
+    ids=["short", "zero", "negative float"],
+)
+def test_ricci_checks_length_then_positivity(g2_triples, metric, message):
+    with pytest.raises(DomainError, match=message):
+        ricci(metric, g2_triples)
+
+
 def test_scalar_curvature_definition(g2_triples):
     components = ricci(InvariantMetric.exact([3, 1, 4, 5, 6, 9]), g2_triples)
     assert components.scalar_curvature == 2 * sum(components.r) == F(1)

@@ -1,7 +1,8 @@
 """Source guards: no module-level memo caches or containers, no numpy in the
 polynomial layer and no numpy.random in the oracle, package __init__ files
-that import nothing (the ``flagein`` command is the one entry point), and no
-function, class or method that nothing in the package refers to."""
+that import nothing (the ``flagein`` command is the one entry point), no
+function, class or method that nothing in the package refers to, and no
+error message raised from two functions."""
 
 import ast
 import os
@@ -248,3 +249,76 @@ def test_every_definition_is_reached_from_the_package():
     sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
     found = [label for label in _unreferenced(sources) if label.rsplit(":", 1)[1] not in _TEST_ENTRY_POINTS]
     assert found == []
+
+
+# messages that two functions raise on purpose, with the reason for each
+_SHARED_MESSAGES = {
+    "empty generator list": "saturate reads generators[0] before buchberger can check the list",
+    "zero polynomial has no leading term": "s_polynomial, a test entry point, checks its inputs as TermOrder.leading does",
+}
+
+
+def _shared_messages(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each string constant that is the message of a raised ``...Error`` in
+    more than one function, with those functions as 'path:qualified name'.
+
+    The match is by text, so an f-string message is never counted; other
+    exceptions, such as the Groebner kernel's budget signal, carry data, not
+    a message."""
+    raisers: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, path: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
+                func, message = child.exc.func, child.exc.args[0]
+                error = getattr(func, "id", getattr(func, "attr", "")).endswith("Error")
+                if error and isinstance(message, ast.Constant) and isinstance(message.value, str):
+                    raisers.setdefault(message.value, set()).add(f"{path}:{scope}")
+            visit(child, path, scope)
+
+    for path, source in sources.items():
+        visit(ast.parse(source), path, "")
+    return {message: sorted(where) for message, where in raisers.items() if len(where) > 1}
+
+
+def test_one_owner_guard_flags_a_message_raised_from_two_functions():
+    sources = {
+        "a.py": (
+            "def check(n):\n"
+            "    if n < 0:\n"
+            "        raise ValueError('n must be >= 0')\n"
+            "class Box:\n"
+            "    def put(self, n):\n"
+            "        raise errors.ValueError('n must be >= 0')\n"
+            "def twice(n):\n"
+            "    if n:\n"
+            "        raise KeyError('once')\n"
+            "    raise KeyError('once')\n"
+        ),
+        # an f-string and a bare re-raise are not constant messages, and a
+        # signal that is not an error carries no message
+        "b.py": (
+            "def stop():\n"
+            "    raise _Stop('pairs')\n"
+            "def other(n):\n"
+            "    if n:\n"
+            "        raise ValueError(f'{n} must be >= 0')\n"
+            "    try:\n"
+            "        check(n)\n"
+            "    except ValueError:\n"
+            "        raise\n"
+            "    raise TypeError('n must be >= 0')\n"
+            "def halt():\n"
+            "    raise _Stop('pairs')\n"
+        ),
+    }
+    assert _shared_messages(sources) == {"n must be >= 0": ["a.py:Box.put", "a.py:check", "b.py:other"]}
+
+
+def test_each_message_is_raised_from_one_function():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    found = {message: where for message, where in _shared_messages(sources).items() if message not in _SHARED_MESSAGES}
+    assert found == {}

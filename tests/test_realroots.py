@@ -13,10 +13,9 @@ from flagein.polyalg.realroots import (
     IsolatingInterval,
     deflate,
     interval_eval,
+    real_root_count,
     refine_root,
-    root_count,
     square_free_part,
-    sturm_chain,
     sturm_isolate,
 )
 
@@ -148,8 +147,7 @@ def test_random_polynomials_certified(coeffs):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
     # certified count equals the Sturm variation difference over the full line
     sf = square_free_part(dense_coeffs)
-    chain = sturm_chain(sf)
-    assert len(intervals) == root_count(chain, "-inf", "+inf")
+    assert len(intervals) == real_root_count(sf)
     # each bracket really contains a sign change of the square-free part
     for iv in intervals:
         if not iv.is_exact:
@@ -184,8 +182,8 @@ def test_random_rational_polynomials_certified(coeffs):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
     sf = square_free_part(coeffs)
     assert all(v.denominator == 1 for v in sf)
-    assert len(intervals) == root_count(sturm_chain(sf), "-inf", "+inf")
-    assert len(intervals) == root_count(sturm_chain(coeffs), "-inf", "+inf")
+    assert len(intervals) == real_root_count(sf)
+    assert len(intervals) == real_root_count(coeffs)
     for iv in intervals:
         assert iv.poly == tuple(sf)
         if iv.is_exact:
@@ -285,7 +283,7 @@ _PINNED_REFINED = [
 
 @pytest.mark.parametrize("name, count", [("deg14", 2), ("rational", 2), ("on_grid", 4), ("repeated", 3), ("sparse", 2)])
 def test_sturm_counts_are_pinned(name, count):
-    assert root_count(sturm_chain(_PINNED_POLYS[name]), "-inf", "+inf") == count
+    assert real_root_count(_PINNED_POLYS[name]) == count
 
 
 def _pinned(name, bounds):

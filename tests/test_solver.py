@@ -248,7 +248,7 @@ def test_x4_x3_consistency_saturation_stats(g2):
     assert basis.generators != [MultiPoly.constant(1, names)]
 
 
-def test_x4_x3_certificate_is_unit_ideal(g2):
+def test_x4_x3_certificate_is_unit_ideal(g2, fglm_calls):
     """Saturating the x1 = x5 = 1 slice by x3 - x4 too leaves the unit ideal."""
     from flagein.polyalg.groebner import saturate
 
@@ -262,7 +262,7 @@ def test_x4_x3_certificate_is_unit_ideal(g2):
     stats = basis.stats
     assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size) == (73, 79, 1)
     assert stats.max_coeff_bits == 285
-    assert stats.conversion == "grevlex+fglm"
+    assert len(fglm_calls) == 1
 
 
 def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
@@ -506,6 +506,16 @@ def test_oracle_refuses_a_system_that_is_not_square(pairs):
         newton_oracle(system, 10, seed=1)
 
 
+_PRECISION = r"^precision must lie in \(0, 1\)$"
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0])
+def test_oracle_rejects_a_tolerance_outside_the_unit_interval(tol):
+    system = build_system(root_system("A2"), {"x1": 1})
+    with pytest.raises(ConfigurationError, match=_PRECISION):
+        newton_oracle(system, 10, seed=1, tol=tol)
+
+
 def test_oracle_a1():
     a1 = root_system("A1")
     system = build_system(a1, normalization={"x1": 1})
@@ -596,15 +606,25 @@ def test_oracle_note_accounts_for_every_start(g2):
     assert residual + sum(hits) == convergent
 
 
-def test_classify_full_rejects_a_negative_seed_before_the_exact_branches(g2, monkeypatch):
-    # the oracle also rejects it, but only after the ansatz and the budgeted
-    # general attempt have run
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        ({"seed": -1}, "^seed must be >= 0$"),
+        ({"starts": 0}, "^starts must be >= 1$"),
+        ({"tol": 0.0}, _PRECISION),
+        ({"tol": 1.0}, _PRECISION),
+    ],
+    ids=["seed", "starts", "tol0", "tol1"],
+)
+def test_classify_full_checks_the_oracle_run_before_the_exact_branches(g2, monkeypatch, run, message):
+    # the oracle would reject the run too, but only after the ansatz and the
+    # budgeted general attempt
     def reached(*args, **kwargs):
-        raise AssertionError("the exact branches ran before the seed was checked")
+        raise AssertionError("the exact branches ran before the oracle run was checked")
 
     monkeypatch.setattr(solver, "solve_symmetric_ansatz", reached)
-    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
-        solver.classify_full(g2, starts=5, seed=-1)
+    with pytest.raises(ConfigurationError, match=message):
+        solver.classify_full(g2, **{"starts": 5, "seed": 1, **run})
 
 
 def test_record_making_calls_derive_the_root_data_once(g2, monkeypatch):
