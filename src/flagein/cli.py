@@ -29,7 +29,6 @@ from .polyalg.poly import TermOrder, format_polynomial, parse_polynomial_file
 from .polyalg.realroots import refine_root, sturm_isolate
 from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
-    build_system,
     check_oracle_run,
     classify_full,
     json_scalar,
@@ -68,7 +67,7 @@ def emit_json(payload: dict, stream) -> None:
 def _parse_metric(text: str) -> InvariantMetric:
     """The metric a --metric value spells; ``ricci`` checks its length and
     positivity."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
     values = []
     for p in parts:
         try:
@@ -197,8 +196,7 @@ def cmd_einstein(args, out) -> int:
     elif args.mode == "full":
         result = classify_full(spec, starts=args.starts, seed=args.seed, tol=args.precision, budget=budget)
     else:
-        system = build_system(spec, normalization={"x1": 1})
-        result = newton_oracle(system, starts=args.starts, seed=args.seed, tol=args.precision)
+        result = newton_oracle(spec, starts=args.starts, seed=args.seed, tol=args.precision)
     payload = solution_set_to_dict(result)
     if args.output:
         try:

@@ -34,9 +34,13 @@ def _derivative(c: list) -> list:
 
 
 def _integer(c) -> IntCoeffs:
-    """Rational coefficients times the positive lcm of their denominators."""
+    """Rational coefficients times the positive lcm of their denominators,
+    trailing zeros stripped; the zero polynomial is a ``DomainError``."""
     den = lcm(*(v.denominator for v in c))
-    return [v.numerator * (den // v.denominator) for v in c]
+    c = _strip([v.numerator * (den // v.denominator) for v in c])
+    if not c:
+        raise DomainError("zero polynomial")
+    return c
 
 
 def _primitive(c: IntCoeffs) -> IntCoeffs:
@@ -104,7 +108,7 @@ def _sturm_chain(c: IntCoeffs) -> list[IntCoeffs]:
 
 def square_free_part(c: Coeffs) -> Coeffs:
     """Primitive integer square-free part of c, as Fractions."""
-    return [Fraction(v) for v in _square_free(_strip(_integer(c)))]
+    return [Fraction(v) for v in _square_free(_integer(c))]
 
 
 def _powers(q: int, n: int) -> list[int]:
@@ -126,7 +130,7 @@ def _scaled_value(c: IntCoeffs, p: int, q_powers: list[int]) -> int:
 def deflate(c: Coeffs, root: Fraction) -> IntCoeffs:
     """The integer quotient of c by q x - p for a root p/q of c, a positive
     multiple of c / (x - p/q); the root is checked by the sign test."""
-    c = _strip(_integer(c))
+    c = _integer(c)
     p, q = root.numerator, root.denominator
     if _scaled_value(c, p, _powers(q, len(c) - 1)):
         raise DomainError(f"expected rational root {root} missing from the elimination polynomial")
@@ -154,7 +158,7 @@ def _evaluate(chain: list[IntCoeffs], x: Fraction) -> tuple[int, int]:
 def real_root_count(poly: Coeffs) -> int:
     """Distinct real roots of *poly*: its Sturm chain's sign variations at
     -inf less those at +inf, read off the leading coefficients."""
-    chain = _sturm_chain(_strip(_integer(poly)))
+    chain = _sturm_chain(_integer(poly))
     at_minus_inf = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
     return _variations(at_minus_inf) - _variations([c[-1] for c in chain])
 
@@ -188,12 +192,10 @@ def sturm_isolate(
     bisection point come back as zero-width intervals.  rng bounds of None
     mean unbounded on that side.
     """
-    coeffs = _strip(list(poly))
-    if not coeffs:
-        raise DomainError("zero polynomial")
+    coeffs = _integer(poly)
     if len(coeffs) == 1:
         return []
-    sf = _square_free(_integer(coeffs))
+    sf = _square_free(coeffs)
     frozen = tuple(Fraction(v) for v in sf)
     chain = _sturm_chain(sf)
     # Cauchy bound on root magnitude

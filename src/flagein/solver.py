@@ -50,7 +50,6 @@ class EinsteinSystem:
     that clears its denominators, scaled to coprime integer coefficients
     with a positive grevlex lead."""
 
-    spec: RootSystemSpec
     variables: tuple[str, ...]
     polynomials: tuple[MultiPoly, ...]
     assignments: dict[str, Fraction]
@@ -153,7 +152,6 @@ def build_system(
             content = -content
         polys.append(MultiPoly(free, {e: c / content for e, c in cleared.terms.items()}))
     return EinsteinSystem(
-        spec=spec,
         variables=free,
         polynomials=tuple(polys),
         assignments=assignments,
@@ -515,15 +513,16 @@ def check_oracle_run(starts: int, seed: int, tol: float) -> None:
 
 
 def newton_oracle(
-    system: EinsteinSystem,
+    spec: RootSystemSpec,
     starts: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
 ) -> SolutionSet:
-    """Damped Newton on the cleared system from log-uniform random starts in
-    [1e-2, 1e2]^dim, drawn from ``random.Random(seed)``; a row is rejected
-    as soon as a coordinate falls to ``tol``, and converged points are
-    deduplicated up to scale and Weyl permutation.  Deterministic for a
+    """Damped Newton on the group's cleared system in the x1 = 1 chart, square
+    as each r_i - r_{i+1} keeps its 1/(2 x_{i+1}) term, from log-uniform
+    random starts in [1e-2, 1e2]^dim drawn from ``random.Random(seed)``; a row
+    is rejected as soon as a coordinate falls to ``tol``, and converged points
+    are deduplicated up to scale and Weyl permutation.  Deterministic for a
     fixed seed.
 
     The case note counts the starts rejected for each reason and the points
@@ -531,9 +530,9 @@ def newton_oracle(
     check_oracle_run(starts, seed, tol)
     import numpy as np
 
-    spec = system.spec
+    system = build_system(spec, {"x1": 1})
     data = _root_data(spec)
-    result = SolutionSet(group=spec.type_label, normalization=_normalization_text(system))
+    result = SolutionSet(group=spec.type_label, normalization="x1 = 1")
     dim = len(system.variables)
     if dim == 0:
         metric = InvariantMetric.exact(system.metric_values({}))
@@ -543,8 +542,6 @@ def newton_oracle(
         return result
 
     polys = list(system.polynomials)
-    if len(polys) != dim:
-        raise DomainError(f"the Newton oracle needs a square system: {len(polys)} polynomials in {dim} variables")
     jacobian = [[p.derivative(v) for v in system.variables] for p in polys]
     monomials: dict[Exponent, int] = {}
 
@@ -706,12 +703,6 @@ def newton_oracle(
     return result
 
 
-def _normalization_text(system: EinsteinSystem) -> str:
-    parts = [f"{k} = {v}" for k, v in system.assignments.items()]
-    parts.extend(f"{k} = {v}" for k, v in system.identifications.items())
-    return ", ".join(parts) if parts else "none"
-
-
 def classify_full(
     spec: RootSystemSpec,
     starts: int = 100_000,
@@ -728,7 +719,7 @@ def classify_full(
     check_oracle_run(starts, seed, tol)
     kaehler = kaehler_einstein_solution(spec)
     parts = [solve_symmetric_ansatz(spec, budget), solve_general_case(spec, budget)] if spec.type_label == "G2" else []
-    parts.append(newton_oracle(build_system(spec, normalization={"x1": 1}), starts=starts, seed=seed, tol=tol))
+    parts.append(newton_oracle(spec, starts=starts, seed=seed, tol=tol))
     return SolutionSet(
         group=spec.type_label,
         normalization="x1 = 1 (oracle); see case log",

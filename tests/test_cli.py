@@ -94,8 +94,10 @@ def test_ricci_normal_metric(capsys):
         ("inf", "bad metric entry 'inf'"),
         ("1e400", "bad metric entry '1e400'"),
         ("nan", "bad metric entry 'nan'"),
+        ("", "bad metric entry ''"),
+        ("1,", "bad metric entry ''"),
     ],
-    ids=["zero", "negative", "inf", "1e400", "nan"],
+    ids=["zero", "negative", "inf", "1e400", "nan", "empty", "mid-list-empty"],
 )
 def test_ricci_rejects_bad_metric_entries(capsys, entry, message):
     code, _, err = run(capsys, "ricci", "G2", "--metric", f"{entry},1,1,1,1,1")

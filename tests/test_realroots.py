@@ -71,8 +71,10 @@ def test_repeated_roots_squarefreed(text, roots):
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(DomainError):
-        sturm_isolate([F(0)])
+    for entry in (sturm_isolate, real_root_count, lambda c: deflate(c, F(1))):
+        for coeffs in ([F(0)], []):
+            with pytest.raises(DomainError, match="^zero polynomial$"):
+                entry(coeffs)
 
 
 def test_deg14_positive_roots():

@@ -148,6 +148,19 @@ def test_build_system_trivial_rank_one():
     assert system.variables == ()
 
 
+@pytest.mark.parametrize(
+    "group, pairs",
+    [
+        ("A1", 0), ("A2", 2), ("A3", 5), ("A4", 9), ("A5", 14), ("B2", 3), ("B3", 8),
+        ("B4", 15), ("C3", 8), ("C4", 15), ("D4", 11), ("D5", 19), ("G2", 5),
+    ],
+)
+def test_oracle_chart_is_square(group, pairs):
+    # each r_i - r_{i+1} keeps its 1/(2 x_{i+1}) term, so none drops out
+    system = build_system(root_system(group), {"x1": 1})
+    assert len(system.polynomials) == len(system.variables) == pairs
+
+
 def test_build_system_with_every_variable_assigned(g2):
     """A fully assigned slice is the empty system when the assigned metric is
     Einstein, and inconsistent otherwise."""
@@ -498,35 +511,24 @@ def test_general_case_budget_status(g2):
     assert "pairs budget after 60 pairs" in notes
 
 
-@pytest.mark.parametrize("pairs", [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]])
-def test_oracle_refuses_a_system_that_is_not_square(pairs):
-    system = build_system(root_system("A2"), {"x1": 1}, pairs=pairs)
-    message = f"^the Newton oracle needs a square system: {len(pairs)} polynomials in 2 variables$"
-    with pytest.raises(DomainError, match=message):
-        newton_oracle(system, 10, seed=1)
-
-
 _PRECISION = r"^precision must lie in \(0, 1\)$"
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0])
 def test_oracle_rejects_a_tolerance_outside_the_unit_interval(tol):
-    system = build_system(root_system("A2"), {"x1": 1})
     with pytest.raises(ConfigurationError, match=_PRECISION):
-        newton_oracle(system, 10, seed=1, tol=tol)
+        newton_oracle(root_system("A2"), 10, seed=1, tol=tol)
 
 
 def test_oracle_a1():
     a1 = root_system("A1")
-    system = build_system(a1, normalization={"x1": 1})
-    result = newton_oracle(system, starts=10, seed=3)
+    result = newton_oracle(a1, starts=10, seed=3)
     assert len(result.solutions) == 1
     assert float(result.solutions[0].residual) == 0.0
 
 
 def test_oracle_a2(a2):
-    system = build_system(a2, normalization={"x1": 1})
-    result = newton_oracle(system, starts=20_000, seed=1)
+    result = newton_oracle(a2, starts=20_000, seed=1)
     assert len(result.solutions) == 2
     kaehler = [s for s in result.solutions if s.kaehler]
     normal = [s for s in result.solutions if not s.kaehler]
@@ -538,7 +540,7 @@ def test_oracle_a2(a2):
 
 def test_oracle_and_classify_full_find_one_kaehler_class_on_a3():
     a3 = root_system("A3")
-    oracle = newton_oracle(build_system(a3, {"x1": 1}), 3000, seed=1)
+    oracle = newton_oracle(a3, 3000, seed=1)
     assert sum(s.kaehler for s in oracle.solutions) == 1
     full = solver.classify_full(a3, 3000, seed=1)
     [ke] = [s for s in full.solutions if s.kaehler]
@@ -546,8 +548,7 @@ def test_oracle_and_classify_full_find_one_kaehler_class_on_a3():
 
 
 def test_oracle_matches_ansatz(g2, ansatz_result):
-    system = build_system(g2, normalization={"x1": 1})
-    oracle = newton_oracle(system, starts=20_000, seed=1)
+    oracle = newton_oracle(g2, starts=20_000, seed=1)
     assert len(oracle.solutions) == 3
     oracle_classes = {s.isometry_class for s in oracle.solutions}
     for sol in ansatz_result.solutions:
@@ -567,7 +568,7 @@ def test_oracle_output_is_pinned(g2):
     # recorded from random.Random(1) starts, rows stopping at the positivity
     # cutoff; the kernel works row by row, so iterates and convergent points
     # must not move by one bit
-    result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=2000, seed=1)
+    result = newton_oracle(g2, starts=2000, seed=1)
     assert result.cases[0].notes.startswith("2000 starts, seed 1, 390 convergent, 3 classes;")
     pinned = [
         (
@@ -590,7 +591,7 @@ def test_oracle_output_is_pinned(g2):
 
 
 def test_oracle_note_accounts_for_every_start(g2):
-    result = newton_oracle(build_system(g2, normalization={"x1": 1}), starts=10_000, seed=1)
+    result = newton_oracle(g2, starts=10_000, seed=1)
     notes = result.cases[0].notes
     assert notes == (
         "10000 starts, seed 1, 1932 convergent, 3 classes; rejected: 0 non-finite, "
@@ -644,11 +645,10 @@ def test_record_making_calls_derive_the_root_data_once(g2, monkeypatch):
     for name in ("triple_tensor", "weyl_orbit_permutations", "kaehler_einstein_metric"):
         monkeypatch.setattr(solver, name, counted(name))
     once = {"triple_tensor": 1, "weyl_orbit_permutations": 1, "kaehler_einstein_metric": 1}
-    system = build_system(g2, normalization={"x1": 1})
-    counts.clear()
-    oracle = newton_oracle(system, starts=2000, seed=1)
+    oracle = newton_oracle(g2, starts=2000, seed=1)
     assert len(oracle.solutions) == 3
-    assert counts == once
+    # build_system derives the triples of the oracle's x1 = 1 chart
+    assert counts == once | {"triple_tensor": 2}
     counts.clear()
     ansatz = solve_symmetric_ansatz(g2)
     assert len(ansatz.solutions) == 2
