@@ -245,8 +245,8 @@ def cmd_groebner(args, out) -> int:
         target = next((g for g in basis.generators if g.support_vars() == (args.isolate,)), None)
         if target is None:
             raise ConfigurationError(f"basis has no generator univariate in {args.isolate}")
-        intervals = sturm_isolate(target.univariate_in(args.isolate), rng=(Fraction(0), None))
-        refined = [refine_root(iv, Fraction(1, 10**12)) for iv in intervals]
+        intervals = sturm_isolate(target.univariate_in(args.isolate))
+        refined = [refine_root(iv, Fraction(1, 10**12)) for iv in intervals if iv.hi > 0]
         isolation = {
             "variable": args.isolate,
             "polynomial": format_polynomial(target, TermOrder("lex", (args.isolate,))),

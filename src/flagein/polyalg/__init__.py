@@ -1,3 +1,3 @@
 """Exact polynomial algebra: sparse multivariate arithmetic over rationals,
 Buchberger Groebner bases with elimination and saturation, and certified
-real-root isolation via Sturm sequences."""
+real-root isolation by Descartes' rule of signs."""

@@ -1,11 +1,13 @@
 """Certified real-root isolation for univariate rational polynomials.
 
-Sturm sequences give exact root counts on any interval; bisection with exact
-sign tests refines isolating intervals to arbitrary width.  Interval
-endpoints are Fractions, but every sign test runs on integers: a polynomial
-is scaled once per call to integer coefficients by the positive lcm of its
-denominators, and for q > 0 the integer q^n f(p/q) has the sign of f(p/q).
-The square-free part and the Sturm chain are built with primitive
+Roots are isolated by Vincent-Collins-Akritas bisection: Descartes' rule of
+signs bounds the number of roots on an open interval by the sign variations
+of a transformed coefficient list, and 0 or 1 variations is an exact count.
+Bisection with exact sign tests then refines isolating intervals to
+arbitrary width.  Interval endpoints are Fractions, but every sign test runs
+on integers: a polynomial is scaled once per call to integer coefficients by
+the positive lcm of its denominators, and for q > 0 the integer q^n f(p/q)
+has the sign of f(p/q).  The square-free part is built with primitive
 pseudo-remainders scaled by |lc|^(delta+1), which preserves every sign, so
 the intervals and certificates are exactly those of rational arithmetic.
 A known rational root p/q is split off by exact integer division by q x - p.
@@ -44,7 +46,7 @@ def _integer(c) -> IntCoeffs:
 
 
 def _primitive(c: IntCoeffs) -> IntCoeffs:
-    """Divide by the positive content; sign is preserved (Sturm needs it)."""
+    """Divide by the positive content; every sign is preserved."""
     g = gcd(*c)
     return [v // g for v in c] if g > 1 else c
 
@@ -97,15 +99,6 @@ def _square_free(c: IntCoeffs) -> IntCoeffs:
     return _primitive(_exact_quotient(c, _primitive(a)))
 
 
-def _sturm_chain(c: IntCoeffs) -> list[IntCoeffs]:
-    """Sturm chain of c (lead non-zero); the members after c' are primitive."""
-    chain = [c, _derivative(c)]
-    while chain[-1]:
-        chain.append([-v for v in _remainder(chain[-2], chain[-1])])
-    chain.pop()
-    return chain
-
-
 def square_free_part(c: Coeffs) -> Coeffs:
     """Primitive integer square-free part of c, as Fractions."""
     return [Fraction(v) for v in _square_free(_integer(c))]
@@ -141,33 +134,18 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations(values: list[int]) -> int:
-    """Sign changes along *values*, zeros skipped."""
-    signs = [v > 0 for v in values if v]
+def _variations(coeffs: IntCoeffs) -> int:
+    """Sign changes along the coefficients, zeros skipped."""
+    signs = [v > 0 for v in coeffs if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _evaluate(chain: list[IntCoeffs], x: Fraction) -> tuple[int, int]:
-    """The sign of chain[0] and the chain's sign variations at x, from one
-    evaluation of the chain."""
-    p, powers = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
-    values = [_scaled_value(poly, p, powers) for poly in chain]
-    return _sign(values[0]), _variations(values)
-
-
-def real_root_count(poly: Coeffs) -> int:
-    """Distinct real roots of *poly*: its Sturm chain's sign variations at
-    -inf less those at +inf, read off the leading coefficients."""
-    chain = _sturm_chain(_integer(poly))
-    at_minus_inf = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
-    return _variations(at_minus_inf) - _variations([c[-1] for c in chain])
 
 
 @dataclass(frozen=True)
 class IsolatingInterval:
     """Exactly one real root of the square-free *poly* lies in [lo, hi].
 
-    Either poly(lo) * poly(hi) < 0 or lo == hi is itself the (rational) root.
+    Either poly(lo) * poly(hi) < 0, certified by Descartes' rule, or lo == hi
+    is itself the (rational) root.
     """
 
     lo: Fraction
@@ -182,84 +160,68 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def sturm_isolate(
-    poly: Coeffs,
-    rng: tuple[Fraction | None, Fraction | None] | None = None,
-) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals for all real roots in the open range *rng*.
+def _taylor_shift(c: IntCoeffs) -> IntCoeffs:
+    """Coefficients of c(x + 1)."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
 
-    The count is certified by Sturm sign variations; roots hit exactly by a
-    bisection point come back as zero-width intervals.  rng bounds of None
-    mean unbounded on that side.
+
+def _positive_roots(c: IntCoeffs) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi) of the positive roots of the square-free
+    c, and (m, m) for a root m hit exactly by a bisection point.
+
+    Every positive root lies in (0, 2^k) by the Cauchy bound.  Each pending
+    subinterval [lo, lo + width] carries the integer q with q(t) a positive
+    multiple of c(lo + width t), so its roots in the open subinterval are
+    those of q in (0, 1), and Descartes' rule bounds their number by the sign
+    variations of (t + 1)^n q(1 / (t + 1)).  Bisection keeps an explicit
+    stack: close roots need one level per bit of their separation, far
+    deeper than the interpreter's recursion limit allows.
+    """
+    n = len(c) - 1
+    k = (-(-max(abs(v) for v in c[:-1]) // abs(c[-1]))).bit_length()  # 2^k > ceil(max/lead)
+    out: list[tuple[Fraction, Fraction]] = []
+    pending = [(Fraction(0), Fraction(2**k), [v << (k * i) for i, v in enumerate(c)])]
+    while pending:
+        lo, width, q = pending.pop()
+        count = _variations(_taylor_shift(q[::-1]))
+        if not count:
+            continue
+        # q(0) and q(1) are the values at the ends; a root there breaks the
+        # sign certificate, so such an interval is bisected further
+        if count == 1 and q[0] and sum(q):
+            out.append((lo, lo + width))
+            continue
+        width /= 2
+        left = [v << (n - i) for i, v in enumerate(q)]  # 2^n q(t / 2)
+        right = _taylor_shift(left)
+        # a root on the midpoint is the left end of the right child only
+        if not right[0]:
+            out.append((lo + width, lo + width))
+        pending += [(lo, width, left), (lo + width, width, right)]
+    return out
+
+
+def sturm_isolate(poly: Coeffs) -> list[IsolatingInterval]:
+    """Disjoint isolating intervals for all real roots of *poly*, sorted.
+
+    The count is certified by Descartes' rule of signs.  A root at 0 comes
+    back as [0, 0] and no other interval contains 0, so the positive roots
+    are the intervals with hi > 0.
     """
     coeffs = _integer(poly)
     if len(coeffs) == 1:
         return []
     sf = _square_free(coeffs)
     frozen = tuple(Fraction(v) for v in sf)
-    chain = _sturm_chain(sf)
-    # Cauchy bound on root magnitude
-    bound = 1 + Fraction(max(abs(c) for c in sf[:-1]), abs(sf[-1]))
-    lo_req, hi_req = rng if rng else (None, None)
-    lo = -bound if lo_req is None else max(Fraction(lo_req), -bound)
-    hi = bound if hi_req is None else min(Fraction(hi_req), bound)
-    if lo >= hi:
-        return []
-
-    out: list[IsolatingInterval] = []
-
-    def emit_exact_if_inside(x: Fraction):
-        # requested range is open, so roots at its endpoints are excluded
-        if (lo_req is None or x > lo_req) and (hi_req is None or x < hi_req):
-            out.append(IsolatingInterval(x, x, frozen))
-
-    def gap_around(x: Fraction, radius: Fraction) -> tuple[Fraction, int, int]:
-        """Radius d <= radius with x the only root in [x-d, x+d], endpoints
-        nonzero, and the chain's variations at x-d and at x+d."""
-        d = radius
-        while True:
-            sign_lo, v_lo = _evaluate(chain, x - d)
-            if sign_lo:
-                sign_hi, v_hi = _evaluate(chain, x + d)
-                if sign_hi and v_lo - v_hi == 1:
-                    return d, v_lo, v_hi
-            d /= 2
-
-    # move endpoints off roots before bisection starts
-    sign, v_lo = _evaluate(chain, lo)
-    if not sign:
-        emit_exact_if_inside(lo)
-        d, _, v_lo = gap_around(lo, (hi - lo) / 4)
-        lo = lo + d
-    sign, v_hi = _evaluate(chain, hi)
-    if not sign:
-        emit_exact_if_inside(hi)
-        d, v_hi, _ = gap_around(hi, (hi - lo) / 4)
-        hi = hi - d
-    # bisect with an explicit stack: close roots need one level per bit of
-    # their separation, far deeper than the interpreter's recursion limit
-    # allows.  Every pending (a, va, b, vb) has sf(a) != 0 and sf(b) != 0 and
-    # carries the chain's variations va at a and vb at b, so each point is
-    # evaluated once.
-    pending = [(lo, v_lo, hi, v_hi)] if lo < hi else []
-    while pending:
-        a, va, b, vb = pending.pop()
-        count = va - vb
-        if count == 0:
-            continue
-        if count == 1:
-            out.append(IsolatingInterval(a, b, frozen))
-            continue
-        mid = (a + b) / 2
-        sign, vm = _evaluate(chain, mid)
-        if not sign:
-            emit_exact_if_inside(mid)
-            d, v_left, v_right = gap_around(mid, (b - a) / 4)
-            pending += [(a, va, mid - d, v_left), (mid + d, v_right, b, vb)]
-        else:
-            pending += [(a, va, mid, vm), (mid, vm, b, vb)]
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return out
+    reflected = [-v if i % 2 else v for i, v in enumerate(sf)]  # sf(-x)
+    bounds = _positive_roots(sf) + [(-hi, -lo) for lo, hi in _positive_roots(reflected)]
+    if not sf[0]:
+        bounds.append((Fraction(0), Fraction(0)))
+    return [IsolatingInterval(lo, hi, frozen) for lo, hi in sorted(bounds)]
 
 
 def refine_root(interval: IsolatingInterval, precision: Fraction | float) -> IsolatingInterval:

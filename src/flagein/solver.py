@@ -6,7 +6,7 @@ case analysis is data: each ``Branch`` row fixes a slice of the system and
 the factors it assumes non-zero, and one engine (``solve_branches``)
 saturates each slice by those factors, certifies the ones a row marks as
 units instead of saturating by them, isolates the real roots of its
-univariate generator with Sturm certificates, and back-substitutes.  The
+univariate generator (certified by Descartes' rule), and back-substitutes.  The
 symmetric-ansatz table (x1 = x5 = 1, x4 = x3) closes exactly; the general
 branch is a stretch that ends in 'budget_exceeded' at desk-scale budgets.
 A multi-start damped Newton oracle solves the same cleared systems in
@@ -35,7 +35,6 @@ from .polyalg.poly import Exponent, LaurentPoly, MultiPoly, TermOrder, parse_pol
 from .polyalg.realroots import (
     deflate,
     interval_eval,
-    real_root_count,
     refine_root,
     sturm_isolate,
 )
@@ -424,8 +423,9 @@ def _solve_branch(
     remaining = univariate.univariate_in(var)
     for root in branch.rational_roots:
         remaining = deflate(remaining, root)
-    record.real_roots = real_root_count(remaining)
-    positive = sturm_isolate(remaining, rng=(Fraction(0), None))
+    roots = sturm_isolate(remaining)
+    record.real_roots = len(roots)
+    positive = [iv for iv in roots if iv.hi > 0]
     record.positive_roots = len(positive)
 
     # an exact root is the zero-width enclosure of itself
@@ -434,8 +434,8 @@ def _solve_branch(
     solutions: list[EinsteinSolution] = []
     rejected = 0
     for lo, hi in enclosures:
-        # var's root is positive by its isolation on (0, inf); only the
-        # back-substituted coordinates can leave the positive orthant
+        # var's root is positive: no kept interval has hi <= 0 or contains
+        # 0; only the back-substituted coordinates can leave the orthant
         bounds = {}
         for v in order:
             if v != var:

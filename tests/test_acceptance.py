@@ -6,6 +6,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import sympy
+
 from flagein.cli import main as cli_main
 from flagein.curvature import (
     InvariantMetric,
@@ -30,7 +32,6 @@ from flagein.polyalg.poly import (
     parse_polynomial_file,
 )
 from flagein.polyalg.realroots import (
-    real_root_count,
     square_free_part,
     sturm_isolate,
 )
@@ -340,6 +341,7 @@ def test_criterion_09e_groebner_certificates():
 
 def test_criterion_09f_sturm_certificates():
     rng = random.Random(906)
+    x = sympy.Symbol("x")
     cases = 0
     while cases < 200:
         degree = rng.randint(1, 6)
@@ -349,15 +351,15 @@ def test_criterion_09f_sturm_certificates():
         intervals = sturm_isolate(coeffs)
         for a, b in zip(intervals, intervals[1:]):
             assert a.hi <= b.lo
+        assert len(intervals) == sympy.Poly([int(c) for c in reversed(coeffs)], x).count_roots()
         sf = square_free_part(coeffs)
-        assert len(intervals) == real_root_count(sf)
         for iv in intervals:
             if not iv.is_exact:
                 lo = sum(c * iv.lo**n for n, c in enumerate(sf))
                 hi = sum(c * iv.hi**n for n, c in enumerate(sf))
                 assert lo * hi < 0
         cases += 1
-    _report(9, cases >= 200, f"Sturm disjointness + count certification: {cases} cases (part f)")
+    _report(9, cases >= 200, f"Descartes disjointness + count against sympy: {cases} cases (part f)")
 
 
 PUBLISHED_POSITIVE_X6 = [

@@ -3,17 +3,16 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagein.errors import DomainError
-from flagein.polyalg import realroots
 from flagein.polyalg.poly import parse_polynomial
 from flagein.polyalg.realroots import (
     IsolatingInterval,
     deflate,
     interval_eval,
-    real_root_count,
     refine_root,
     square_free_part,
     sturm_isolate,
@@ -30,8 +29,18 @@ def dense(descending):
     return [F(c) for c in reversed(descending)]
 
 
+def positive(coeffs):
+    return [iv for iv in sturm_isolate(coeffs) if iv.hi > 0]
+
+
+def sympy_count(coeffs):
+    """Distinct real roots by sympy, an independent reference."""
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x).count_roots()
+
+
 def test_sqrt2():
-    intervals = sturm_isolate(parse_polynomial("x^2 - 2", ("x",)).univariate_in("x"), rng=(F(0), None))
+    intervals = positive(parse_polynomial("x^2 - 2", ("x",)).univariate_in("x"))
     assert len(intervals) == 1
     tight = refine_root(intervals[0], F(1, 10**12))
     assert abs(float(tight.midpoint()) - 2**0.5) < 1e-11
@@ -49,10 +58,7 @@ def test_known_cubic():
     assert len(mids) == 3
     for got, want in zip(mids, (-3.0, 1.0, 2.0)):
         assert abs(got - want) < 1e-9
-    assert len(sturm_isolate(poly, rng=(F(0), None))) == 2
-    # range bounds are open
-    assert len(sturm_isolate(poly, rng=(F(1), None))) == 1
-    assert len(sturm_isolate(poly, rng=(F(-3), F(2)))) == 1
+    assert len(positive(poly)) == 2
 
 
 @pytest.mark.parametrize(
@@ -71,25 +77,29 @@ def test_repeated_roots_squarefreed(text, roots):
 
 
 def test_zero_polynomial_rejected():
-    for entry in (sturm_isolate, real_root_count, lambda c: deflate(c, F(1))):
+    for entry in (sturm_isolate, lambda c: deflate(c, F(1))):
         for coeffs in ([F(0)], []):
             with pytest.raises(DomainError, match="^zero polynomial$"):
                 entry(coeffs)
 
 
 def test_deg14_positive_roots():
-    intervals = sturm_isolate(dense(DEG14), rng=(F(0), None))
+    intervals = positive(dense(DEG14))
     assert len(intervals) == 2
     values = [float(refine_root(iv, F(1, 10**12)).midpoint()) for iv in intervals]
     assert abs(values[0] - 0.7440) < 1e-4
     assert abs(values[1] - 1.7896) < 1e-4
     assert len(sturm_isolate(dense(DEG14))) == 2
+    # at the solver's precision the float midpoints no longer depend on the
+    # bisection points that started the refinement
+    tight = [float(refine_root(iv, F(1, 10**40)).midpoint()) for iv in intervals]
+    assert tight == [0.7440347799024186, 1.7896006223103744]
 
 
 def test_refinement_no_op_when_tight():
     iv = IsolatingInterval(F(1), F(1), (F(-1), F(1)))
     assert refine_root(iv, F(1, 1000)) == iv
-    bracket = sturm_isolate(parse_polynomial("x^2 - 2", ("x",)).univariate_in("x"), rng=(F(0), None))[0]
+    bracket = positive(parse_polynomial("x^2 - 2", ("x",)).univariate_in("x"))[0]
     wide = refine_root(bracket, F(2))
     assert wide.hi - wide.lo <= bracket.hi - bracket.lo
 
@@ -147,9 +157,8 @@ def test_random_polynomials_certified(coeffs):
     # disjoint and ordered
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
-    # certified count equals the Sturm variation difference over the full line
+    assert len(intervals) == sympy_count(dense_coeffs)
     sf = square_free_part(dense_coeffs)
-    assert len(intervals) == real_root_count(sf)
     # each bracket really contains a sign change of the square-free part
     for iv in intervals:
         if not iv.is_exact:
@@ -184,8 +193,7 @@ def test_random_rational_polynomials_certified(coeffs):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
     sf = square_free_part(coeffs)
     assert all(v.denominator == 1 for v in sf)
-    assert len(intervals) == real_root_count(sf)
-    assert len(intervals) == real_root_count(coeffs)
+    assert len(intervals) == sympy_count(coeffs)
     for iv in intervals:
         assert iv.poly == tuple(sf)
         if iv.is_exact:
@@ -198,16 +206,16 @@ def _from_roots(roots, lead):
     return [lead * c for c in _poly_from_roots(roots)]
 
 
-# Outputs of the Fraction implementation of the root layer, recorded before
-# its sign tests moved to integers: the intervals (and the refined ones) must
-# not move by one bit, nor may the square-free factor each interval carries.
+# The square-free factors are those of the Fraction implementation of the
+# root layer, recorded before its sign tests moved to integers; the intervals
+# are the Descartes isolator's dyadic bisection points, and the refined ones
+# follow from them.  None may move by one bit.
 _PINNED_POLYS = {
     "deg14": dense(DEG14),
     "rational": [F(-3, 7), F(5, 11), F(2, 3), F(-1, 5), F(7, 13)],
     "on_grid": _from_roots([F(0), F(1, 2), F(3, 4), F(-1)], F(-5, 3)),
     "repeated": _from_roots([F(1, 3), F(1, 3), F(-2, 5), F(-2, 5), F(-2, 5), F(2)], F(-7, 9)),
-    # -x^4/5 + x: the chain drops from degree 3 to 1 under a negative lead,
-    # where a pseudo-remainder scaled by lc^3 instead of |lc|^3 flips a sign
+    # -x^4/5 + x: a root at 0 under a negative lead
     "sparse": [F(0), F(1), F(0), F(0), F(-1, 5)],
 }
 _PINNED_SQUARE_FREE = {
@@ -218,74 +226,75 @@ _PINNED_SQUARE_FREE = {
     "sparse": (0, 5, 0, 0, -1),
 }
 _PINNED_INTERVALS = [
-    # (polynomial, range, [(lo, hi), ...])
-    ("deg14", None, [("0", "371502239/232906752"), ("371502239/232906752", "371502239/116453376")]),
-    ("deg14", (F(0), None), [("0", "371502239/232906752"), ("371502239/232906752", "371502239/116453376")]),
-    ("rational", None, [("-47/21", "0"), ("0", "47/21")]),
-    # the root 0 is a bisection midpoint
-    ("on_grid", None, [("-15/8", "-15/32"), ("0", "0"), ("15/32", "165/256"), ("165/256", "105/128")]),
-    # roots on both range endpoints, which are open
-    ("on_grid", (F(-1), F(3, 4)), [("-9/16", "3/256"), ("3/256", "75/128")]),
-    ("on_grid", (F(0), F(1)), [("1/4", "5/8"), ("5/8", "1")]),
-    ("on_grid", (F(-1), F(1)), [("-1/2", "1/4"), ("1/4", "5/8"), ("5/8", "1")]),
-    ("repeated", None, [("-44/15", "0"), ("0", "22/15"), ("22/15", "44/15")]),
-    ("sparse", None, [("0", "0"), ("3/2", "6")]),
-    ("sparse", (F(0), None), [("3/2", "6")]),
+    # (polynomial, [(lo, hi), ...])
+    ("deg14", [("1/2", "1"), ("1", "2")]),
+    ("rational", [("-4", "0"), ("0", "4")]),
+    # every root is a bisection point, so each comes back exact
+    ("on_grid", [("-1", "-1"), ("0", "0"), ("1/2", "1/2"), ("3/4", "3/4")]),
+    ("repeated", [("-4", "0"), ("0", "1"), ("2", "2")]),
+    ("sparse", [("0", "0"), ("1", "2")]),
 ]
 _PINNED_REFINED = [
-    # (polynomial, range, precision, [(lo, hi), ...])
+    # (polynomial, precision, [(lo, hi), ...])
     (
         "deg14",
-        (F(0), None),
         F(1, 10**40),
         [
             (
-                "1257979257925734957747340397152556392548429999511/1690753297971797724098672016559108175937411219456",
-                "943484443444301218310505297864417294411415375193/1268064973478848293074004012419331131953058414592",
+                "4050910655627112168523587061419401419549/5444517870735015415413993718908291383296",
+                "8101821311254224337047174122838802839099/10889035741470030830827987437816582766592",
             ),
             (
-                "37355224126217865144608022618963228386055550063/20873497505824663260477432303198866369597669376",
-                "2269329865667735307534937374102016124452967541887/1268064973478848293074004012419331131953058414592",
+                "19487025139294676244808371842324400491857/10889035741470030830827987437816582766592",
+                "9743512569647338122404185921162200245929/5444517870735015415413993718908291383296",
             ),
         ],
     ),
     (
         "rational",
-        None,
         F(1, 10**20),
         [
-            ("-5080523207641222237261/6198106008766409342976", "-2540261603820611118607/3099053004383204671488"),
-            ("3226344534888550591909/6198106008766409342976", "268862044574045882663/516508834063867445248"),
+            ("-120964838277171958031/147573952589676412928", "-60482419138585979015/73786976294838206464"),
+            ("38408863510577983237/73786976294838206464", "76817727021155966475/147573952589676412928"),
         ],
     ),
-    (
-        "on_grid",
-        None,
-        F(1, 10**12),
-        [
-            ("-70368744177705/70368744177664", "-17592186044415/17592186044416"),
-            ("0", "0"),
-            ("1099511627775/2199023255552", "35184372088845/70368744177664"),
-            ("26388279066615/35184372088832", "52776558133275/70368744177664"),
-        ],
-    ),
+    ("on_grid", F(1, 10**12), [("-1", "-1"), ("0", "0"), ("1/2", "1/2"), ("3/4", "3/4")]),
     (
         "repeated",
-        None,
         F(1, 10**12),
         [
-            ("-6597069766661/16492674416640", "-219902325555/549755813888"),
-            ("366503875925/1099511627776", "2748779069443/8246337208320"),
-            ("4123168604159/2061584302080", "10995116277761/5497558138880"),
+            ("-439804651111/1099511627776", "-219902325555/549755813888"),
+            ("366503875925/1099511627776", "183251937963/549755813888"),
+            ("2", "2"),
         ],
     ),
-    ("sparse", None, F(1, 10**12), [("0", "0"), ("30082214985405/17592186044416", "15041107492707/8796093022208")]),
+    ("sparse", F(1, 10**12), [("0", "0"), ("470034609147/274877906944", "1880138436589/1099511627776")]),
 ]
 
 
 @pytest.mark.parametrize("name, count", [("deg14", 2), ("rational", 2), ("on_grid", 4), ("repeated", 3), ("sparse", 2)])
 def test_sturm_counts_are_pinned(name, count):
-    assert real_root_count(_PINNED_POLYS[name]) == count
+    assert len(sturm_isolate(_PINNED_POLYS[name])) == count
+
+
+def test_root_at_zero_is_exact_and_alone():
+    # x (3x - 1)(2x + 1)(x - 3): the interval (0, b) would have a root at its
+    # left end, which breaks the sign certificate refine_root reads
+    poly = _poly_from_roots([F(0), F(1, 3), F(-1, 2), F(3)])
+    intervals = sturm_isolate(poly)
+    assert len(intervals) == 4
+    assert [iv for iv in intervals if iv.lo <= 0 <= iv.hi] == [IsolatingInterval(F(0), F(0), intervals[0].poly)]
+    sf = square_free_part(poly)
+    for iv in intervals:
+        if iv.is_exact:
+            assert _eval(sf, iv.lo) == 0
+        else:
+            assert _eval(sf, iv.lo) * _eval(sf, iv.hi) < 0
+    for iv, root in zip(intervals, (F(-1, 2), F(0), F(1, 3), F(3))):
+        assert iv.lo <= root <= iv.hi
+    # hi > 0 keeps the roots an isolation on the open range (0, inf) found
+    positive_counts = {"deg14": 2, "rational": 1, "on_grid": 2, "repeated": 2, "sparse": 1}
+    assert {name: len(positive(poly)) for name, poly in _PINNED_POLYS.items()} == positive_counts
 
 
 def _pinned(name, bounds):
@@ -293,30 +302,14 @@ def _pinned(name, bounds):
     return repr([IsolatingInterval(F(lo), F(hi), sf) for lo, hi in bounds])
 
 
-@pytest.mark.parametrize("name, rng, bounds", _PINNED_INTERVALS)
-def test_isolation_output_is_pinned(name, rng, bounds):
-    assert repr(sturm_isolate(_PINNED_POLYS[name], rng=rng)) == _pinned(name, bounds)
+@pytest.mark.parametrize("name, bounds", _PINNED_INTERVALS)
+def test_isolation_output_is_pinned(name, bounds):
+    assert repr(sturm_isolate(_PINNED_POLYS[name])) == _pinned(name, bounds)
 
 
-@pytest.mark.parametrize("name, rng, bounds", _PINNED_INTERVALS)
-def test_isolation_evaluates_the_chain_once_per_point(monkeypatch, name, rng, bounds):
-    # each evaluation gives both the sign of the square-free part and the
-    # variation count; interval endpoints carry their counts to the children
-    points = []
-    evaluate = realroots._evaluate
-
-    def counted(chain, x):
-        points.append(x)
-        return evaluate(chain, x)
-
-    monkeypatch.setattr(realroots, "_evaluate", counted)
-    assert repr(sturm_isolate(_PINNED_POLYS[name], rng=rng)) == _pinned(name, bounds)
-    assert points and len(points) == len(set(points))
-
-
-@pytest.mark.parametrize("name, rng, precision, bounds", _PINNED_REFINED)
-def test_refinement_output_is_pinned(name, rng, precision, bounds):
-    refined = [refine_root(iv, precision) for iv in sturm_isolate(_PINNED_POLYS[name], rng=rng)]
+@pytest.mark.parametrize("name, precision, bounds", _PINNED_REFINED)
+def test_refinement_output_is_pinned(name, precision, bounds):
+    refined = [refine_root(iv, precision) for iv in sturm_isolate(_PINNED_POLYS[name])]
     assert repr(refined) == _pinned(name, bounds)
 
 
@@ -335,7 +328,7 @@ def test_deflate_splits_known_roots_on_integers():
     assert once[-1] == DEG14[0] and all(type(v) is int for v in once)
     deg14 = deflate(once, F(-5))
     assert deg14 == list(reversed(DEG14))
-    assert repr(sturm_isolate(deg14, rng=(F(0), None))) == _pinned("deg14", _PINNED_INTERVALS[1][2])
+    assert repr(positive(deg14)) == _pinned("deg14", _PINNED_INTERVALS[0][1])
     with pytest.raises(DomainError, match="expected rational root 3/4 missing"):
         deflate(deg14, F(3, 4))
 
@@ -352,7 +345,7 @@ def test_isqrt_consistency_of_integer_square_roots():
     # perfect squares give exact rational roots
     for n in (4, 9, 49, 144):
         poly = parse_polynomial(f"x^2 - {n}", ("x",)).univariate_in("x")
-        intervals = sturm_isolate(poly, rng=(F(0), None))
+        intervals = positive(poly)
         assert len(intervals) == 1
         tight = refine_root(intervals[0], F(1, 10**6))
         assert tight.lo <= isqrt(n) <= tight.hi
