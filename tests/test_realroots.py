@@ -234,6 +234,15 @@ _PINNED_INTERVALS = [
     ("repeated", [("-4", "0"), ("0", "1"), ("2", "2")]),
     ("sparse", [("0", "0"), ("1", "2")]),
 ]
+# The roots the solver keeps, hi > 0, are those of an isolation on the open
+# range (0, inf); these rows keep the test ids they had when that range was
+# an argument of sturm_isolate.
+_PINNED_POSITIVE = [
+    # (test id, polynomial, [(lo, hi), ...])
+    ("deg14-rng1-bounds1", "deg14", [("1/2", "1"), ("1", "2")]),
+    # the exact root at 0 is not positive
+    ("sparse-rng9-bounds9", "sparse", [("1", "2")]),
+]
 _PINNED_REFINED = [
     # (polynomial, precision, [(lo, hi), ...])
     (
@@ -302,9 +311,14 @@ def _pinned(name, bounds):
     return repr([IsolatingInterval(F(lo), F(hi), sf) for lo, hi in bounds])
 
 
-@pytest.mark.parametrize("name, bounds", _PINNED_INTERVALS)
-def test_isolation_output_is_pinned(name, bounds):
-    assert repr(sturm_isolate(_PINNED_POLYS[name])) == _pinned(name, bounds)
+@pytest.mark.parametrize(
+    "name, positive_only, bounds",
+    [pytest.param(name, False, bounds, id=f"{name}-bounds{i}") for i, (name, bounds) in enumerate(_PINNED_INTERVALS)]
+    + [pytest.param(name, True, bounds, id=test_id) for test_id, name, bounds in _PINNED_POSITIVE],
+)
+def test_isolation_output_is_pinned(name, positive_only, bounds):
+    isolate = positive if positive_only else sturm_isolate
+    assert repr(isolate(_PINNED_POLYS[name])) == _pinned(name, bounds)
 
 
 @pytest.mark.parametrize("name, precision, bounds", _PINNED_REFINED)
