@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .curvature import InvariantMetric, einstein_residual, kaehler_einstein_metric, ricci
@@ -26,7 +27,7 @@ from .errors import ConfigurationError, DomainError, FlageinError, InternalError
 from .isotropy import triple_tensor
 from .polyalg.groebner import GroebnerBudget, buchberger
 from .polyalg.poly import TermOrder, format_polynomial, parse_polynomial_file
-from .polyalg.realroots import refine_root, sturm_isolate
+from .polyalg.realroots import IsolatingInterval, interval_eval, refine_root, sturm_isolate
 from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
     check_oracle_run,
@@ -228,6 +229,33 @@ def cmd_einstein(args, out) -> int:
     return EXIT_BUDGET if result.status == "budget_exceeded" else EXIT_OK
 
 
+def _root_digits(iv: IsolatingInterval) -> str:
+    """The root in *iv* to 15 significant digits, exactly rounded.
+
+    The enclosure is bisected until both of its ends round to the same
+    digits, which the root then rounds to as well, or until it is the root
+    itself.  A root on the tie between two adjacent roundings would keep the
+    ends apart for ever, so that tie is tested first.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 15
+
+        def digits(x: Fraction) -> Decimal:
+            return Decimal(x.numerator) / x.denominator  # one exactly rounded division
+
+        while not iv.is_exact:
+            lo, hi = digits(iv.lo), digits(iv.hi)
+            if lo == hi:
+                break
+            if lo.next_plus() == hi:
+                tie = (Fraction(lo) + Fraction(hi)) / 2
+                if not interval_eval(iv.poly, tie, tie)[0]:
+                    return format(float(digits(tie)), ".15g")
+            iv = refine_root(iv, (iv.hi - iv.lo) / 1024)
+        # a 15-digit decimal survives the round trip through a float
+        return format(float(digits(iv.lo)), ".15g")
+
+
 def cmd_groebner(args, out) -> int:
     try:
         with open(args.file) as fh:
@@ -246,12 +274,11 @@ def cmd_groebner(args, out) -> int:
         if target is None:
             raise ConfigurationError(f"basis has no generator univariate in {args.isolate}")
         intervals = sturm_isolate(target.univariate_in(args.isolate))
-        refined = [refine_root(iv, Fraction(1, 10**12)) for iv in intervals if iv.hi > 0]
         isolation = {
             "variable": args.isolate,
             "polynomial": format_polynomial(target, TermOrder("lex", (args.isolate,))),
             "degree": target.degree_in(args.isolate),
-            "positiveRoots": [format(float(r.midpoint()), ".15g") for r in refined],
+            "positiveRoots": [_root_digits(iv) for iv in intervals if iv.hi > 0],
         }
     if args.format == "json":
         payload = {

@@ -11,6 +11,14 @@ of the staircase.  Both routes produce the same object, the unique reduced
 basis, normalized to integer-primitive generators with positive leading
 coefficients, so identical inputs give bit-identical output.
 
+Two rules stop work whose answer is already decided.  A reduction that
+leaves a non-zero constant, in the input interreduction or in the pair loop,
+shows the unit ideal, and the computation returns [1] at once.  A finished
+pair loop drops every generator whose leading monomial another one's divides
+(keeping the first of equal leads), which leaves a minimal basis, and
+tail-reduces the rest in one pass: that is the reduced basis (Cox, Little and
+O'Shea, "Ideals, Varieties, and Algorithms", section 2.7).
+
 All arithmetic runs in one integer kernel (Monagan-Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): each monomial is packed into one int whose integer order is the term
@@ -388,7 +396,8 @@ def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> Mu
 
 def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = None) -> list[_Poly]:
     """Reduce each generator against the others until stable; drop zeros.
-    *max_bits* bounds each reduction as in _reduce.
+    *max_bits* bounds each reduction as in _reduce.  A reduction that leaves
+    a constant returns [1]: the ideal is the unit ideal.
 
     Whether a term is reducible depends only on the leading terms, so a pass
     that changes none of them (it may drop generators or change tails)
@@ -406,6 +415,8 @@ def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = No
                 if not remainder:
                     continue
                 r = _reducer(_primitive(remainder), ring)
+                if not r.lead:
+                    return [r]
                 leads_changed |= r.lead != p.lead
                 p = r
             result.append(p)
@@ -420,7 +431,13 @@ def _buchberger_loop(
     stats: GroebnerStats,
 ) -> list[_Poly]:
     """Core pair loop over primitive polynomials, which may be any generating
-    set; returns the reduced basis or raises _BudgetExceeded."""
+    set; returns the reduced basis or raises _BudgetExceeded.
+
+    A pair whose remainder is a non-zero constant ends the loop at once with
+    [1], the reduced basis of the unit ideal.  A finished loop keeps a
+    minimal basis, dropping each generator whose leading monomial another
+    one's divides (the first of equal leads stays), and tail-reduces it in
+    one pass, which changes no lead."""
     basis = _Reducers(polys)
     leads = basis.leads
 
@@ -472,13 +489,22 @@ def _buchberger_loop(
             continue
         terms = _primitive(remainder)
         new_poly = _reducer(terms, ring)
+        if not new_poly.lead:
+            return [new_poly]
         bits = max(c.bit_length() for c in terms.values())
         if bits > stats.max_coeff_bits:
             stats.max_coeff_bits = bits
         basis.append(new_poly)
         update_pairs(len(leads) - 1)
 
-    return _interreduce(basis.polys, ring, budget.max_coeff_bits)
+    minimal = [
+        p
+        for i, p in enumerate(basis.polys)
+        if not any(
+            ring.divides(lead, p.lead) and (lead != p.lead or j < i) for j, lead in enumerate(leads) if j != i
+        )
+    ]
+    return _interreduce(minimal, ring, budget.max_coeff_bits)
 
 
 def _is_zero_dimensional(basis: list[_Poly], ring: _Monomials) -> bool:

@@ -156,9 +156,6 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def _taylor_shift(c: IntCoeffs) -> IntCoeffs:
     """Coefficients of c(x + 1)."""

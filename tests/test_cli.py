@@ -351,7 +351,23 @@ def test_groebner_isolates_elimination_polynomial(tmp_path, capsys, g2):
     assert code == EXIT_OK
     golden_line = open("tests/data/g2_elimination_deg14.txt").read().strip()
     assert golden_line in out
-    assert "0.744" in out and "1.789" in out
+    # each root to 15 digits, exactly rounded: 0.74403477990241864... and
+    # 1.78960062231037439...
+    assert "(2):\n  0.744034779902419\n  1.78960062231037\n" in out
+
+
+def test_groebner_isolate_prints_exactly_rounded_roots(tmp_path, capsys):
+    # (2x - 1)(x^2 - 2)(2000000000000000 x - 1488069559804837): an exact
+    # bisection point, an irrational root, and a root on the tie between two
+    # 15-digit roundings, which rounds half to even
+    source = tmp_path / "roots.txt"
+    source.write_text(
+        "4000000000000000*x^4 - 4976139119609674*x^3 - 6511930440195163*x^2"
+        " + 9952278239219348*x - 2976139119609674\n"
+    )
+    code, out, _ = run(capsys, "groebner", str(source), "--vars", "x", "--isolate", "x")
+    assert code == EXIT_OK
+    assert out.endswith("(3):\n  0.5\n  0.744034779902418\n  1.4142135623731\n")
 
 
 def test_missing_subcommand_usage(capsys):

@@ -471,7 +471,14 @@ def _pure_power_ideal(rng):
     return gens
 
 
-@pytest.mark.parametrize("make", [_triangular_ideal, _pure_power_ideal])
+def _unit_ideal(rng):
+    """a, b and 1 - c a - d b for random a, b, c, d: the unit ideal, shown
+    by the input interreduction or by a pair, depending on the draw."""
+    a, b, c, d = (MultiPoly(XYZ, _random_terms(rng, (3, 3, 3))) for _ in range(4))
+    return [a, b, MultiPoly.constant(1, XYZ) - c * a - d * b]
+
+
+@pytest.mark.parametrize("make", [_triangular_ideal, _pure_power_ideal, _unit_ideal])
 def test_fglm_bases_match_sympy(make, fglm_calls):
     rng = random.Random(1993)
     for _ in range(12):
@@ -630,26 +637,37 @@ def test_divisor_memo_bases_match_sympy(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "texts",
+    "texts, redundant",
     [
-        ["x^2 + y^2 + z^2 - 1", "x*y - z", "y*z - x"],
+        pytest.param(["x^2 + y^2 + z^2 - 1", "x*y - z", "y*z - x"], 0, id="texts0"),
         # the pair loop ends with two redundant generators
-        ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"],
+        pytest.param(["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"], 2, id="texts1"),
     ],
 )
-def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts):
-    # the final interreduction changes tails and drops redundant generators
-    # but no leading term, so one pass (one reduction per generator) finishes
+def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts, redundant):
+    # the finished pair loop drops the generators whose leading term another
+    # one's divides, and the final interreduction then changes tails but no
+    # leading term, so one pass (one reduction per generator) finishes
     interreduce, reduce = groebner._interreduce, groebner._reduce
     inputs = []
+    grown = []  # the pair loop's basis: the only reducers appended to
+
+    class Recorded(groebner._Reducers):
+        def append(self, p):
+            grown.append(self)
+            super().append(p)
 
     def record(polys, ring, max_bits=None):
         inputs.append((list(polys), ring))
         return interreduce(polys, ring, max_bits)
 
+    monkeypatch.setattr(groebner, "_Reducers", Recorded)
     monkeypatch.setattr(groebner, "_interreduce", record)
     basis = buchberger([parse_polynomial(t, XYZ) for t in texts], TermOrder("grevlex", XYZ))
     finished, ring = inputs[-1]
+    leads = [p.lead for p in finished]
+    assert not any(ring.divides(a, b) for a in leads for b in leads if a != b)
+    assert len(finished) == len(grown[-1].polys) - redundant
     calls = []
 
     def counted(*args):
@@ -659,3 +677,28 @@ def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts):
     monkeypatch.setattr(groebner, "_reduce", counted)
     assert [_poly_to(p, ring) for p in interreduce(finished, ring)] == basis.generators
     assert len(calls) == len(finished)
+
+
+def test_constant_remainder_ends_the_pair_loop(monkeypatch):
+    # the input interreduction leaves no constant; the fifth pair's remainder
+    # is one while pairs are still queued, and the loop stops there
+    gens = [parse_polynomial(t, XYZ) for t in ["x^2", "x*y^2 - y*z^2 - 2", "3*x^2*y^2*z + 2*x*y^2*z + 2*y*z^2"]]
+    order = TermOrder("grevlex", XYZ)
+    reduce = groebner._reduce
+    remainders = []
+
+    def recorded(*args):
+        out = reduce(*args)
+        remainders.append(out[0])
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", recorded)
+    basis = buchberger(gens, order)
+    assert basis.generators == [MultiPoly.constant(1, XYZ)]
+    assert (basis.stats.pairs_processed, basis.stats.basis_size) == (5, 1)
+    constant = [i for i, r in enumerate(remainders) if list(r) == [0]]
+    assert constant == [len(remainders) - 1]
+    # the exit comes before the loop looks at its queue again, so a pair
+    # budget spent on that pair does not trip
+    assert buchberger(gens, order, GroebnerBudget(max_pairs=5)).complete
+    assert not buchberger(gens, order, GroebnerBudget(max_pairs=4)).complete
