@@ -11,6 +11,9 @@ has the sign of f(p/q).  The square-free part is built with primitive
 pseudo-remainders scaled by |lc|^(delta+1), which preserves every sign, so
 the intervals and certificates are exactly those of rational arithmetic.
 A known rational root p/q is split off by exact integer division by q x - p.
+``coprime`` decides whether two polynomials share a complex root by the
+same pseudo-remainder sequence: they do not exactly when it ends in a
+non-zero constant.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ def _remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
             r[shift + i] -= take * coeff
         _strip(r)
     return _primitive(r)
+
+
+def coprime(a: Coeffs, b: Coeffs) -> bool:
+    """Whether gcd(a, b) is a non-zero constant, that is, a and b have no
+    common complex root.  Euclid's algorithm on primitive integer
+    pseudo-remainders: each is a non-zero multiple of the true remainder, so
+    the last non-zero one is a multiple of the gcd.  The zero polynomial is
+    divisible by everything, so it is coprime only to a non-zero constant."""
+    a, b = (_integer(c) if any(c) else [] for c in (a, b))
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) == 1
 
 
 def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:

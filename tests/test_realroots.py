@@ -11,6 +11,7 @@ from flagein.errors import DomainError
 from flagein.polyalg.poly import parse_polynomial
 from flagein.polyalg.realroots import (
     IsolatingInterval,
+    coprime,
     deflate,
     interval_eval,
     refine_root,
@@ -349,6 +350,55 @@ def test_deflate_splits_known_roots_on_integers():
     assert repr(positive(deg14)) == _pinned("deg14", _PINNED_INTERVALS[0][1])
     with pytest.raises(DomainError, match="expected rational root 3/4 missing"):
         deflate(deg14, F(3, 4))
+
+
+def _sympy_coprime(a, b):
+    """gcd(a, b) is a non-zero constant, by sympy, an independent reference."""
+    x = sympy.Symbol("x")
+    polys = [sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)] or [0], x) for p in (a, b)]
+    g = sympy.gcd(*polys)
+    return not g.is_zero and g.degree() == 0
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+_SMALL = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(lambda c: [F(v) for v in c])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL, _SMALL, _SMALL)
+def test_coprime_agrees_with_sympy_gcd(a, b, common):
+    # the products share every root of *common*; a constant or zero one
+    # shares nothing or everything, and squares repeat roots
+    for u, v in ((a, b), (_times(a, common), _times(b, common)), (_times(a, a), b), (a, _times(b, _times(b, common)))):
+        assert coprime(u, v) == _sympy_coprime(u, v) == coprime(v, u)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        pytest.param([-2, 0, 1], [-1, 1], True, id="x^2-2,x-1"),
+        pytest.param([-2, 0, 1], [3], True, id="x^2-2,3"),
+        pytest.param([F(2, 3)], [-5], True, id="2/3,-5"),
+        pytest.param([1, 0, 1], [-1, 0, 0, 0, 1], False, id="x^2+1,x^4-1"),
+        # (x - 1)^2 against (x - 1)^2 (x + 1): a repeated common root
+        pytest.param([1, -2, 1], [1, -1, -1, 1], False, id="repeated"),
+        pytest.param([-2, 0, 1], [0], False, id="x^2-2,0"),
+        pytest.param([5], [0, 0], True, id="5,0"),
+        pytest.param([0], [0], False, id="0,0"),
+    ],
+)
+def test_coprime_on_constants_zero_and_repeated_roots(a, b, expected):
+    a, b = [F(v) for v in a], [F(v) for v in b]
+    assert coprime(a, b) is expected
+    assert coprime(b, a) is expected
+    assert _sympy_coprime(a, b) is expected
 
 
 def test_interval_eval_encloses_true_range():

@@ -16,6 +16,7 @@ from flagein.polyalg.poly import (
     MultiPoly,
     TermOrder,
     format_polynomial,
+    parse_polynomial,
     parse_polynomial_file,
 )
 from flagein.rootsys import root_system, weyl_orbit_permutations
@@ -278,6 +279,20 @@ def test_x4_x3_certificate_is_unit_ideal(g2, fglm_calls):
     assert len(fglm_calls) == 1
 
 
+def test_x4_x3_row_saturates_by_a_part_of_the_product(g2, monkeypatch):
+    """The row saturates by x4 x6 (x3 - x4) alone and still gets [1], which
+    certifies x2 and x3 as units with no further work."""
+    calls = _saturate_spy(monkeypatch)
+    result = solve_branches(g2, "x1 = x5 = 1", (G2_SYMMETRIC_ANSATZ[2],))
+    [(names, nonvanishing, basis)] = calls
+    assert names == ("x2", "x3", "x4", "x6")
+    assert [format_polynomial(p) for p in nonvanishing] == ["x4", "x6", "x3 - x4"]
+    assert basis.generators == [MultiPoly.constant(1, names)]
+    stats = basis.stats
+    assert (stats.pairs_processed, stats.pairs_discarded, stats.basis_size, stats.max_coeff_bits) == (52, 53, 1, 285)
+    assert result.cases[0].notes == "saturating the slice by x3 - x4 gives the unit ideal"
+
+
 def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
     """A complete saturation that is not the unit ideal refutes the ansatz."""
     from flagein import solver
@@ -411,7 +426,7 @@ def _saturate_spy(monkeypatch, overrun=False):
 
 
 def test_x6_ne_1_units_leave_the_full_saturation(g2, monkeypatch):
-    """Saturating by x2 (x6 - 1) and certifying x3 and x6 as units gives the
+    """Saturating by x3 (x6 - 1) and certifying x2 and x6 as units gives the
     basis that saturating by all four factors gives."""
     from flagein.polyalg.groebner import saturate
 
@@ -420,16 +435,45 @@ def test_x6_ne_1_units_leave_the_full_saturation(g2, monkeypatch):
     [(names, nonvanishing, basis)] = calls
     assert names == ("x2", "x3", "x6")
     stats = basis.stats
-    assert (stats.pairs_processed, stats.max_coeff_bits) == (82, 193)
+    assert (stats.pairs_processed, stats.max_coeff_bits) == (94, 187)
     golden = parse_polynomial_file(open("tests/data/g2_symmetric_system.txt").read(), names)
     constraints = [MultiPoly.variable(v, names) for v in names]
     constraints.append(MultiPoly.variable("x6", names) - MultiPoly.constant(1, names))
     full = saturate(golden, constraints)
     assert full.stats.pairs_processed == 121
     assert basis.generators == full.generators
-    # the row saturates by x2 (x6 - 1) alone
-    assert nonvanishing == [constraints[0], constraints[-1]]
+    # the row saturates by x3 (x6 - 1) alone
+    assert nonvanishing == [constraints[1], constraints[-1]]
     assert len(result.solutions) == 2
+
+
+@pytest.mark.parametrize(
+    "factors, unit, is_unit",
+    [
+        (("x3", "x6 - 1"), "x2", True),
+        (("x3", "x6 - 1"), "x3", True),
+        (("x3", "x6 - 1"), "x6", True),
+        (("x3", "x6 - 1"), "x6 - 1", True),
+        # the x6 = 1 points survive saturating by the coordinates alone
+        (("x2", "x3", "x6"), "x6 - 1", False),
+    ],
+)
+def test_gcd_unit_check_agrees_with_the_groebner_certificate(g2, factors, unit, is_unit):
+    """gcd(h, NF(u)) = 1 exactly when a basis of J + <u> is [1], for the
+    saturation J of the x6 != 1 slice and its univariate generator h."""
+    from flagein.polyalg.groebner import buchberger, saturate
+    from flagein.polyalg.realroots import coprime
+
+    system = build_system(g2, {"x1": 1, "x5": 1}, {"x4": "x3"}, [(0, 1), (1, 2), (2, 5)])
+    names = system.variables
+    J = saturate(list(system.polynomials), [parse_polynomial(t, names) for t in factors])
+    u = parse_polynomial(unit, names)
+    [h] = [g for g in J.generators if g.support_vars() == ("x6",)]
+    remainder = reduce_poly(u, J.generators, J.order)
+    assert remainder.support_vars() in ((), ("x6",))
+    by_gcd = coprime(h.univariate_in("x6"), remainder.univariate_in("x6"))
+    by_groebner = buchberger(J.generators + [u], TermOrder("grevlex", names)).generators == [MultiPoly.constant(1, names)]
+    assert by_gcd == by_groebner == is_unit
 
 
 def test_unit_check_rejects_a_factor_that_is_not_a_unit(g2):
@@ -439,31 +483,30 @@ def test_unit_check_rejects_a_factor_that_is_not_a_unit(g2):
         solve_branches(g2, "x1 = x5 = 1", (branch,))
 
 
-def test_unit_check_overrun_makes_status_budget_exceeded(g2, monkeypatch):
+def test_unit_check_rejects_a_normal_form_that_is_not_univariate(g2, monkeypatch):
+    """The gcd certificate needs a normal form in the eliminated variable
+    alone; here x2 is its own normal form modulo [x2 x6 - 1, x6^2 - 2]."""
     from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
-    def fake_buchberger(generators, order, budget=None):
-        stats = GroebnerStats(pairs_processed=9, pairs_discarded=2, max_coeff_bits=40, budget_limit="pairs")
-        return GroebnerBasis([], order, stats)
+    def fake_saturate(generators, nonvanishing, budget=None):
+        names = generators[0].vars
+        basis = [parse_polynomial(t, names) for t in ("x2*x6 - 1", "x6^2 - 2")]
+        return GroebnerBasis(basis, TermOrder("lex", names), GroebnerStats())
 
-    monkeypatch.setattr(solver, "buchberger", fake_buchberger)
-    result = solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
-    assert result.status == "budget_exceeded"
-    [case] = result.cases
-    assert case.status == "budget_exceeded"
-    assert case.notes.startswith("the unit check of x3 exceeded its pairs budget after 9 pairs (2 discarded, 40")
-    assert result.solutions == []
+    monkeypatch.setattr(solver, "saturate", fake_saturate)
+    with pytest.raises(DomainError, match="^x6 != 1: the normal form of x2 is not univariate in x6$"):
+        solve_branches(g2, "x1 = x5 = 1, x4 = x3", (G2_SYMMETRIC_ANSATZ[1],))
 
 
 def test_each_row_makes_one_saturate_call(g2, monkeypatch):
-    """The unit checks run through buchberger, so each row is one saturation.
+    """The unit checks take no Groebner basis, so each row is one saturation.
     Its variables are the slice's free variables with the eliminated one
     last: the tuples by which the benchmark's span recorder names the rows."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from spans import BRANCHES
 
     keys = list(BRANCHES)
-    ansatz = [["x3", "x2"], ["x2", "x6 - 1"], ["x2", "x3", "x4", "x6", "x3 - x4"]]
+    ansatz = [["x3", "x2"], ["x3", "x6 - 1"], ["x4", "x6", "x3 - x4"]]
     general = [["x2", "x3", "x4", "x5", "x6", "-x5 + 1", "-x6 + 1", "x5 - x6"]]
     # the general row reports an overrun at once instead of its seconds-long attempt
     for branches, status, names, factors in (
