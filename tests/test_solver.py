@@ -464,7 +464,8 @@ def test_gcd_unit_check_agrees_with_the_groebner_certificate(g2, factors, unit, 
     from flagein.polyalg.groebner import buchberger, saturate
     from flagein.polyalg.realroots import coprime
 
-    system = build_system(g2, {"x1": 1, "x5": 1}, {"x4": "x3"}, [(0, 1), (1, 2), (2, 5)])
+    row = G2_SYMMETRIC_ANSATZ[1]
+    system = build_system(g2, row.normalization, row.equalities, row.pairs)
     names = system.variables
     J = saturate(list(system.polynomials), [parse_polynomial(t, names) for t in factors])
     u = parse_polynomial(unit, names)
