@@ -96,7 +96,7 @@ def _metric_variables(count: int) -> tuple[str, ...]:
 
 def build_system(
     spec: RootSystemSpec,
-    normalization: dict[str, Fraction | int] | None = None,
+    normalization: dict[str, Fraction | int],
     equalities: dict[str, str] | None = None,
     pairs: list[tuple[int, int]] | None = None,
 ) -> EinsteinSystem:
@@ -110,7 +110,7 @@ def build_system(
     s = len(positive_roots(spec))
     names = _metric_variables(s)
     assignments: dict[str, Fraction] = {}
-    for key, value in (normalization or {}).items():
+    for key, value in normalization.items():
         if key not in names:
             raise DomainError(f"unknown metric variable {key!r}")
         value = Fraction(value)
@@ -603,7 +603,6 @@ def newton_oracle(
     max_iter = 60
     newton_tol = 1e-12
     halvings = 25  # line-search step lengths 2^0 .. 2^-24
-    probe = 256  # trial points per line-search round once few rows remain
 
     def iterate(X: "np.ndarray") -> "np.ndarray":
         """Damped Newton on the rows of X in place; each row ends with one
@@ -627,41 +626,29 @@ def newton_oracle(
             converged = good & (norm < newton_tol)
             outcome[idx[converged]] = _CONVERGED
             outcome[idx[~good]] = _NON_FINITE
-            keep_mask = ~converged & good
-            sub = idx[keep_mask]
-            if sub.size == 0:
+            live = np.flatnonzero(good & ~converged)  # positions in idx
+            mono = mono[:, live]
+            J = combine(mono, jac_terms).T.reshape(live.size, len(polys), dim)
+            solvable = np.abs(np.linalg.det(J)) > 1e-280
+            outcome[idx[live[~solvable]]] = _SINGULAR
+            live = live[solvable]
+            if live.size == 0:
                 continue
-            mono = mono[:, keep_mask]
-            J = combine(mono, jac_terms).T.reshape(sub.size, len(polys), dim)
-            dets = np.linalg.det(J)
-            solvable = np.abs(dets) > 1e-280
-            outcome[sub[~solvable]] = _SINGULAR
-            sub = sub[solvable]
-            if sub.size == 0:
-                continue
-            step = np.linalg.solve(J[solvable], F[keep_mask][solvable][..., None])[..., 0]
-            base_norm = norm[keep_mask][solvable]
-            lam = np.ones(sub.size)
-            Xa = X[sub]
-            # backtracking; lam = 2^-halvings when every length fails.  An
-            # accepted step never changes, so each round tests only the rows
-            # rejected so far; when few remain, a round tests several halvings
-            trial = np.arange(sub.size)
-            tried = 0
-            while trial.size and tried < halvings:
-                width = min(halvings - tried, max(1, probe // trial.size))
-                scales = np.ldexp(1.0, -np.arange(tried, tried + width))
-                at = np.repeat(trial, width)
-                lam_try = np.tile(scales, trial.size)
-                trial_norm = residual_norm(Xa[at] - lam_try[:, None] * step[at])
-                bad = (~np.isfinite(trial_norm) | (trial_norm > base_norm[at])).reshape(-1, width)
-                failed = bad.all(axis=1)
-                passed = ~failed
-                lam[trial[passed]] = scales[bad[passed].argmin(axis=1)]
-                tried += width
-                trial = trial[failed]
-                lam[trial] = np.ldexp(1.0, -tried)
-            X[sub] = Xa - lam[:, None] * step
+            step = np.linalg.solve(J[solvable], F[live][..., None])[..., 0]
+            del mono, J  # the line search sets the oracle's memory peak
+            Xa = X[idx[live]]
+            # each row takes the first length 2^-k, k < halvings, at which
+            # its residual is finite and no larger than at Xa; a row that
+            # accepts none takes 2^-halvings
+            lam = np.ones(live.size)
+            rejected = np.arange(live.size)
+            for k in range(1, halvings + 1):
+                trial = residual_norm(Xa[rejected] - lam[rejected, None] * step[rejected])
+                rejected = rejected[~np.isfinite(trial) | (trial > norm[live[rejected]])]
+                if rejected.size == 0:
+                    break
+                lam[rejected] = np.ldexp(1.0, -k)
+            X[idx[live]] = Xa - lam[:, None] * step
         return outcome
 
     # draws are taken row-major, so the stream does not depend on the blocks

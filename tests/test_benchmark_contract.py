@@ -32,6 +32,9 @@ GROEBNER_COUNTS = {
 }
 GENERAL_COUNTS = (137, 29, 0, 2820, 0)  # the budgeted attempt that does not finish
 COUNT_FIELDS = ("pairs_processed", "pairs_discarded", "basis_size", "max_coeff_bits", "complete")
+# what g2-classify's oracle (10k starts, seed 1) reports; any change to a
+# Newton iterate moves these
+ORACLE_COUNTS = {"convergent": 1932, "spurious": 437, "min_class_hits": 250}
 
 
 @pytest.mark.parametrize("workload", ["g2-ansatz", "g2-classify"])
@@ -50,5 +53,6 @@ def test_traced_child_reports_every_layer(workload):
     rows = dict(GROEBNER_COUNTS)
     if workload == "g2-classify":
         rows["general"] = GENERAL_COUNTS
+        assert {k: layers[f"oracle.{k}"]["value"] for k in ORACLE_COUNTS} == ORACLE_COUNTS
     for row, counts in rows.items():
         assert tuple(layers[f"groebner.{row}.{f}"]["value"] for f in COUNT_FIELDS) == counts, row

@@ -175,7 +175,7 @@ def test_einstein_full_classification(capsys):
         capsys, "einstein", "G2", "--mode", "full", "--starts", "2000", "--seed", "1",
         "--budget-pairs", "125", "--format", "json",
     )
-    # 125 pairs close the ansatz branches (at most 82) and stop the general
+    # 125 pairs close the ansatz branches (at most 94) and stop the general
     # branch early; the oracle covers that region
     assert code == EXIT_BUDGET
     payload = json.loads(out)
