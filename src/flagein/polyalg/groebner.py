@@ -1,15 +1,21 @@
 """Groebner bases by Buchberger's algorithm, with elimination and saturation.
 
 The pair loop uses the normal selection strategy (smallest leading-term lcm
-under the active order, ties by age) and prunes with the coprime and chain
-criteria in Gebauer-Moeller form.  Requesting a lex basis of a
-zero-dimensional ideal takes the standard fast route: a grevlex basis first,
-then exact FGLM conversion, which reduces each monomial it visits from the
-normal form of the monomial it came from (Faugere-Gianni-Lazard-Mora, JSC
-1993) and eliminates on those normal forms as sparse rows, whatever the size
-of the staircase.  Both routes produce the same object, the unique reduced
-basis, normalized to integer-primitive generators with positive leading
-coefficients, so identical inputs give bit-identical output.
+under the active order, ties by age) and the Gebauer-Moeller update (JSC
+1988; Becker-Weispfenning, "Groebner Bases", UPDATE).  A new generator drops
+the queued pairs whose lcm its lead divides strictly (B_k), pairs with the
+active generators only, one per lcm (F) and only at the minimal lcms (M),
+skips coprime leads (the product criterion), and retires the active
+generators whose lead its lead divides: they stay reducers.
+
+Requesting a lex basis of a zero-dimensional ideal takes the standard fast
+route: a grevlex basis first, then exact FGLM conversion, which reduces each
+monomial it visits from the normal form of the monomial it came from
+(Faugere-Gianni-Lazard-Mora, JSC 1993) and eliminates on those normal forms
+as sparse rows, whatever the size of the staircase.  Both routes produce the
+same object, the unique reduced basis, normalized to integer-primitive
+generators with positive leading coefficients, so identical inputs give
+bit-identical output.
 
 Two rules stop work whose answer is already decided.  A reduction that
 leaves a non-zero constant, in the input interreduction or in the pair loop,
@@ -97,13 +103,21 @@ _MIN_FIELD_BITS = 15
 class _Monomials:
     """Packed monomials for one term order over a fixed variable list.
 
-    A monomial is one int.  Its low n fields hold the exponents e0..e(n-1),
-    e0 most significant; for lex that layout already sorts as the term order.
-    Grevlex puts n more fields above them: the degree, then e0+...+e(n-2),
-    ..., e0.  Every field is *bits* wide with a zero guard bit above it, so
-    both layouts are additive (multiplying monomials adds ints), an overflow
-    shows as a set guard bit, and divisibility of the exponent fields is one
-    subtraction and a mask.
+    A monomial is one int of fields *bits* wide, each with a zero guard bit
+    above it.  The low n fields, the exponent block, hold e0..e(n-1).  Lex
+    stores e0 most significant, which already sorts as the term order.
+    Grevlex stores e0 lowest and puts a degree block of n more fields above:
+    field n+k holds e0+...+ek, so the top field holds the degree, and the
+    degree block alone sorts as grevlex.  Both layouts are additive
+    (multiplying monomials adds ints), an overflow shows as a set guard bit,
+    and divisibility of the exponent fields is one subtraction and a mask.
+
+    The degree block is the exponent block times the sum of 2**(k*stride)
+    over k = n..2n-1, masked to fields n..2n-1: field n+k of the product
+    sums e0..ek.  No sum carries into the next field while the degree stays
+    below 2**(bits+1), which holds for the lcm of two packed monomials and,
+    once its degree is checked, for a packed exponent; a degree past
+    field_max then shows as a set guard bit.
     """
 
     def __init__(self, order: TermOrder, bits: int):
@@ -112,33 +126,36 @@ class _Monomials:
         self.bits = bits
         self.stride = stride = bits + 1
         self.field_max = (1 << bits) - 1
-        fields = 2 * n if order.kind == "grevlex" else n
+        self.grevlex = order.kind == "grevlex"
+        fields = 2 * n if self.grevlex else n
         self.div_guard = sum(1 << (k * stride + bits) for k in range(n))
         self.guard = sum(1 << (k * stride + bits) for k in range(fields))
         self.values = sum(self.field_max << (k * stride) for k in range(fields))
+        self.exponents = sum(self.field_max << (k * stride) for k in range(n))
+        # exponent block -> monomial: the block itself plus its degree block
+        self.spread = 1 + sum(1 << (k * stride) for k in range(n, fields))
+        self.mask = (1 << (fields * stride)) - 1
+
+    def with_degrees(self, low: int) -> int:
+        m = (low * self.spread) & self.mask
+        if m & self.guard:
+            raise self.overflow()
+        return m
 
     def pack(self, exp: Exponent) -> int:
-        fields = list(exp)
-        if self.order.kind == "grevlex":
-            partial = []
-            total = 0
-            for e in exp:
-                total += e
-                partial.append(total)
-            fields = partial[::-1] + fields
-        m = 0
-        for f in fields:
-            if f > self.field_max:
-                raise self.overflow()
-            m = (m << self.stride) | f
-        return m
+        if (sum(exp) if self.grevlex else max(exp, default=0)) > self.field_max:
+            raise self.overflow()
+        low = 0
+        for e in reversed(exp) if self.grevlex else exp:
+            low = (low << self.stride) | e
+        return self.with_degrees(low)
 
     def unpack(self, m: int) -> Exponent:
         out = []
         for _ in range(self.n):
             out.append(m & self.field_max)
             m >>= self.stride
-        return tuple(reversed(out))
+        return tuple(out) if self.grevlex else tuple(reversed(out))
 
     def divides(self, a: int, b: int) -> bool:
         g = self.div_guard
@@ -151,11 +168,8 @@ class _Monomials:
         return (a & mask) | (b & (self.values ^ mask))
 
     def lcm(self, a: int, b: int) -> int:
-        top = self.fieldwise_max(a, b)
-        if self.order.kind == "grevlex":
-            # the degree fields of a lcm are not the maxima of the degree fields
-            return self.pack(self.unpack(top))
-        return top
+        # the degree fields of a lcm are not the maxima of the degree fields
+        return self.with_degrees(self.fieldwise_max(a, b) & self.exponents)
 
     def mul(self, a: int, b: int) -> int:
         m = a + b
@@ -444,32 +458,43 @@ def _buchberger_loop(
     age = 0
     queue: list = []
     alive: dict[tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
+    active: list[int] = []  # generators whose leading monomial no later one divides
+    guard = ring.div_guard
 
     def update_pairs(r: int):
         """Gebauer-Moeller update for new generator index r."""
         nonlocal age
         new_lead = leads[r]
-        taus = [ring.lcm(leads[i], new_lead) for i in range(r)]
-        # drop old pairs strictly covered by the new generator
+        taus = [ring.lcm(lead, new_lead) for lead in leads[:r]]
+        # B_k: drop queued pairs strictly covered by the new generator
         for (i, j), tau_ij in list(alive.items()):
-            if ring.divides(new_lead, tau_ij) and taus[i] != tau_ij and taus[j] != tau_ij:
+            if ((tau_ij | guard) - new_lead) & guard == guard and taus[i] != tau_ij and taus[j] != tau_ij:
                 del alive[(i, j)]
                 stats.pairs_discarded += 1
-        # candidate pairs with the new generator
-        guard = ring.div_guard
-        by_tau: dict[int, int] = {}
-        for i, tau in enumerate(taus):
+        # candidate pairs with the active generators, the first one per lcm (F)
+        first: dict[int, int] = {}
+        for i in active:
+            first.setdefault(taus[i], i)
+        # M: proper divisors sort first, so keep each lcm no kept lcm divides
+        minimal_lcms: list[int] = []
+        for tau in sorted(first):
             above = tau | guard
-            if not any(t != tau and (above - t) & guard == guard for t in taus):
-                by_tau.setdefault(tau, i)
-        for tau, i in sorted(by_tau.items()):
-            # coprime leading terms reduce to zero; skip
-            if tau == leads[i] + new_lead:
-                stats.pairs_discarded += 1
-                continue
-            age += 1
-            heapq.heappush(queue, (tau, age, i, r))
-            alive[(i, r)] = tau
+            for t in minimal_lcms:
+                if (above - t) & guard == guard:
+                    break
+            else:
+                minimal_lcms.append(tau)
+                i = first[tau]
+                # coprime leading terms reduce to zero; skip
+                if tau == leads[i] + new_lead:
+                    stats.pairs_discarded += 1
+                    continue
+                age += 1
+                heapq.heappush(queue, (tau, age, i, r))
+                alive[(i, r)] = tau
+        # retire those whose lead the new lead divides; their queued pairs stay
+        active[:] = [i for i in active if ((leads[i] | guard) - new_lead) & guard != guard]
+        active.append(r)
 
     for j in range(len(leads)):
         update_pairs(j)

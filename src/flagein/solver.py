@@ -330,7 +330,7 @@ _ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
 G2_SYMMETRIC_ANSATZ = (
     Branch("x6 = 1", {"x1": 1, "x5": 1, "x6": 1}, {"x4": "x3"}, _ANSATZ_PAIRS, eliminate="x2"),
     # saturating by x3 (x6 - 1) alone gives the same basis as the whole
-    # product, in 94 pairs and 187 coefficient bits instead of 121 and 775
+    # product, in 89 pairs and 187 coefficient bits instead of 107 and 775
     Branch(
         "x6 != 1",
         {"x1": 1, "x5": 1},
@@ -340,7 +340,7 @@ G2_SYMMETRIC_ANSATZ = (
         "x6",
         units=("x2", "x6"),
     ),
-    # x4 x6 (x3 - x4) already gives [1], in 52 pairs instead of 70
+    # x4 x6 (x3 - x4) already gives [1], in 50 pairs instead of 65
     Branch("x4 = x3 consistency", {"x1": 1, "x5": 1}, {}, None, ("x3 - x4",), units=("x2", "x3")),
 )
 G2_GENERAL_CASE = (

@@ -26,9 +26,9 @@ from checks import CHECKS  # noqa: E402
 
 # exact Groebner counts of the saturations each workload runs
 GROEBNER_COUNTS = {
-    "x6_eq_1": (16, 5, 3, 13, 1),
-    "x6_ne_1": (94, 31, 4, 187, 1),
-    "x4_eq_x3": (52, 53, 1, 285, 1),
+    "x6_eq_1": (13, 8, 3, 13, 1),
+    "x6_ne_1": (89, 36, 4, 187, 1),
+    "x4_eq_x3": (50, 58, 1, 285, 1),
 }
 GENERAL_COUNTS = (137, 29, 0, 2820, 0)  # the budgeted attempt that does not finish
 COUNT_FIELDS = ("pairs_processed", "pairs_discarded", "basis_size", "max_coeff_bits", "complete")

@@ -140,14 +140,14 @@ def test_einstein_general_budget_exit(capsys):
 
 def test_einstein_symmetric_budget_overrun_still_reports(capsys):
     code, out, _ = run(
-        capsys, "einstein", "G2", "--mode", "symmetric", "--budget-pairs", "50", "--format", "json",
+        capsys, "einstein", "G2", "--mode", "symmetric", "--budget-pairs", "40", "--format", "json",
     )
     assert code == EXIT_BUDGET
     payload = json.loads(out)
     assert payload["status"] == "budget_exceeded"
-    # x6 = 1 needs 16 pairs, x6 != 1 82 and the x4 = x3 certificate 73
+    # x6 = 1 needs 13 pairs, x6 != 1 89 and the x4 = x3 certificate 50
     assert [c["status"] for c in payload["cases"]] == ["complete", "budget_exceeded", "budget_exceeded"]
-    assert "pairs budget after 50 pairs" in payload["cases"][1]["notes"]
+    assert "pairs budget after 40 pairs" in payload["cases"][1]["notes"]
     assert payload["solutions"] == []
 
 
@@ -175,7 +175,7 @@ def test_einstein_full_classification(capsys):
         capsys, "einstein", "G2", "--mode", "full", "--starts", "2000", "--seed", "1",
         "--budget-pairs", "125", "--format", "json",
     )
-    # 125 pairs close the ansatz branches (at most 94) and stop the general
+    # 125 pairs close the ansatz branches (at most 89) and stop the general
     # branch early; the oracle covers that region
     assert code == EXIT_BUDGET
     payload = json.loads(out)
