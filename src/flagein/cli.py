@@ -30,6 +30,7 @@ from .polyalg.poly import TermOrder, format_polynomial, parse_polynomial_file
 from .polyalg.realroots import IsolatingInterval, interval_eval, refine_root, sturm_isolate
 from .rootsys import killing_form, long_short_split, positive_roots, root_system
 from .solver import (
+    CASE_BUDGET,
     check_oracle_run,
     classify_full,
     json_scalar,
@@ -179,7 +180,7 @@ def cmd_kaehler(args, out) -> int:
 
 def cmd_einstein(args, out) -> int:
     check_oracle_run(args.starts, args.seed, args.precision)
-    # a given budget flag overrides that field of each branch's budget
+    # a given budget flag overrides that field of the case-analysis budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
     # check the report path before the run, so one that cannot be written fails
@@ -349,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Newton row is rejected as soon as a coordinate is <= it; the exact branches always refine "
         "roots to 1e-40",
     )
-    p.add_argument("--budget-pairs", type=int, help="Groebner pair limit (default: each branch's own)")
-    p.add_argument("--budget-bits", type=int, help="Groebner coefficient-bit limit (default: each branch's own)")
+    p.add_argument("--budget-pairs", type=int, help=f"Groebner pair limit (default: {CASE_BUDGET.max_pairs})")
+    p.add_argument(
+        "--budget-bits", type=int, help=f"Groebner coefficient-bit limit (default: {CASE_BUDGET.max_coeff_bits})"
+    )
     p.add_argument("--output", help="also write the JSON report to this path")
     add_format(p)
     p.set_defaults(func=cmd_einstein)

@@ -389,16 +389,6 @@ def _reduce(
     return {m: coeffs[i] for m, i in remainder}, scale
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
-    """S(f, g) scaled to integer-friendly cross coefficients."""
-    if f.is_zero() or g.is_zero():
-        raise DomainError("zero polynomial has no leading term")
-    ring = _Monomials(order, _field_bits([f, g]))
-    (ft, fd), (gt, gd) = _to_kernel(f, ring), _to_kernel(g, ring)
-    out = _s_poly(_reducer(ft, ring), _reducer(gt, ring), ring)
-    return _from_kernel(out.items(), ring, fd * gd)
-
-
 def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> MultiPoly:
     """Full multivariate division remainder of *poly* by *basis* under *order*."""
     ring = _Monomials(order, _field_bits([poly, *basis]))
@@ -408,7 +398,7 @@ def reduce_poly(poly: MultiPoly, basis: list[MultiPoly], order: TermOrder) -> Mu
     return _from_kernel(remainder.items(), ring, scale)
 
 
-def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int | None = None) -> list[_Poly]:
+def _interreduce(polys: list[_Poly], ring: _Monomials, max_bits: int) -> list[_Poly]:
     """Reduce each generator against the others until stable; drop zeros.
     *max_bits* bounds each reduction as in _reduce.  A reduction that leaves
     a constant returns [1]: the ideal is the unit ideal.
@@ -678,15 +668,6 @@ def buchberger(
     return GroebnerBasis([_poly_to(p, ring) for p in final], order, stats)
 
 
-def _fresh_variable(used: tuple[str, ...]) -> str:
-    if "t" not in used:
-        return "t"
-    n = 0
-    while f"t{n}" in used:
-        n += 1
-    return f"t{n}"
-
-
 def saturate(
     generators: list[MultiPoly],
     nonvanishing: list[MultiPoly],
@@ -694,25 +675,26 @@ def saturate(
 ) -> GroebnerBasis:
     """Basis of the ideal saturated by the product of *nonvanishing*.
 
-    Adds t * product - 1 for a fresh auxiliary variable t, computes a lex
-    basis with t eliminated first, and keeps the t-free generators.  Because
-    the remaining variables keep their given order, the result is itself a
-    lex basis of the saturation ideal.  An empty list is the product 1 and a
-    non-zero constant c gives c t - 1: both leave the ideal as it is.  A zero
-    product is a ``DomainError``, since t * 0 - 1 would certify the unit ideal.
+    Adds t * product - 1 for an auxiliary variable t named ``_t``, which no
+    polynomial text can spell (a parsed name starts with a letter), computes
+    a lex basis with t eliminated first, and keeps the t-free generators.
+    Because the remaining variables keep their given order, the result is
+    itself a lex basis of the saturation ideal.  An empty list is the product
+    1 and a non-zero constant c gives c t - 1: both leave the ideal as it is.
+    A zero product is a ``DomainError``, since t * 0 - 1 would certify the
+    unit ideal.
     """
     if not generators:
         raise DomainError("empty generator list")
     variables = generators[0].vars
     order = TermOrder("lex", variables)
-    aux = _fresh_variable(variables)
-    extended = (aux,) + tuple(variables)
+    extended = ("_t",) + tuple(variables)
     product = MultiPoly.constant(1, extended)
     for c in nonvanishing:
         product = product * c.with_variables(extended)
     if product.is_zero():
         raise DomainError("saturation by zero")
-    trick = MultiPoly.variable(aux, extended) * product - MultiPoly.constant(1, extended)
+    trick = MultiPoly.variable("_t", extended) * product - MultiPoly.constant(1, extended)
     lifted = [g.with_variables(extended) for g in generators] + [trick]
     result = buchberger(lifted, TermOrder("lex", extended), budget)
     # an overrun has no generators; the kernel's are primitive with a positive

@@ -78,16 +78,22 @@ def _remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
     return _primitive(r)
 
 
-def coprime(a: Coeffs, b: Coeffs) -> bool:
-    """Whether gcd(a, b) is a non-zero constant, that is, a and b have no
-    common complex root.  Euclid's algorithm on primitive integer
-    pseudo-remainders: each is a non-zero multiple of the true remainder, so
-    the last non-zero one is a multiple of the gcd.  The zero polynomial is
-    divisible by everything, so it is coprime only to a non-zero constant."""
-    a, b = (_integer(c) if any(c) else [] for c in (a, b))
+def _gcd(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """A multiple of gcd(a, b), non-zero unless a = b = 0, by Euclid's
+    algorithm on primitive integer pseudo-remainders: each is a non-zero
+    multiple of the true remainder, so the last non-zero one is a multiple
+    of the gcd."""
     while b:
         a, b = b, _remainder(a, b)
-    return len(a) == 1
+    return a
+
+
+def coprime(a: Coeffs, b: Coeffs) -> bool:
+    """Whether gcd(a, b) is a non-zero constant, that is, a and b have no
+    common complex root.  The zero polynomial is divisible by everything, so
+    it is coprime only to a non-zero constant."""
+    a, b = (_integer(c) if any(c) else [] for c in (a, b))
+    return len(_gcd(a, b)) == 1
 
 
 def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
@@ -106,17 +112,10 @@ def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
 def _square_free(c: IntCoeffs) -> IntCoeffs:
     """Primitive square-free part of c (lead non-zero) with the sign that
     rational division gives."""
-    a, b = c, _derivative(c)
-    while b:
-        a, b = b, _remainder(a, b)
-    if len(a) <= 1:
+    g = _gcd(c, _derivative(c))
+    if len(g) <= 1:
         return _primitive(c)
-    return _primitive(_exact_quotient(c, _primitive(a)))
-
-
-def square_free_part(c: Coeffs) -> Coeffs:
-    """Primitive integer square-free part of c, as Fractions."""
-    return [Fraction(v) for v in _square_free(_integer(c))]
+    return _primitive(_exact_quotient(c, _primitive(g)))
 
 
 def _powers(q: int, n: int) -> list[int]:

@@ -310,6 +310,8 @@ class Branch:
     the unit ideal, which certifies every unit at once: no solution on the
     slice has every coordinate and factor non-zero.  Saturating by a part of
     the product proves more, since I : f^oo lies in I : (f g)^oo.
+
+    ``solve_branches`` runs every row under the one ``CASE_BUDGET``.
     """
 
     name: str
@@ -319,12 +321,15 @@ class Branch:
     factors: tuple[str, ...] = ()
     eliminate: str | None = None
     rational_roots: tuple[Fraction, ...] = ()
-    budget: GroebnerBudget = GroebnerBudget()
     units: tuple[str, ...] = ()
 
 
 # width below which the exact branches refine each isolated root
 _REFINE_PRECISION = Fraction(1, 10**40)
+
+# the Groebner limits of every case-analysis row: the ansatz rows finish
+# within 90 pairs and 800 coefficient bits; the general row overruns them
+CASE_BUDGET = GroebnerBudget(max_pairs=250, max_coeff_bits=2500)
 
 _ANSATZ_PAIRS = ((0, 1), (1, 2), (2, 5))
 G2_SYMMETRIC_ANSATZ = (
@@ -354,7 +359,6 @@ G2_GENERAL_CASE = (
         "x6",
         # the Kaehler-Einstein orbit
         tuple(Fraction(r) for r in ("3", "2", "3/2", "1/2", "2/3", "1/3")),
-        GroebnerBudget(max_pairs=250, max_coeff_bits=2500),
     ),
 )
 
@@ -367,8 +371,8 @@ def solve_branches(
 ) -> SolutionSet:
     """Run each branch of a G2 case analysis and collect its case log.
 
-    A *budget* dict of ``GroebnerBudget`` fields overrides those fields of
-    every branch's own budget.  A branch that runs out of budget is
+    Every branch runs under ``CASE_BUDGET``, whose fields a *budget* dict of
+    ``GroebnerBudget`` fields overrides.  A branch that runs out of budget is
     logged with the limit it hit and makes the status 'budget_exceeded'; the
     other branches still run.
     """
@@ -376,8 +380,9 @@ def solve_branches(
         raise ConfigurationError("the case analysis tables are specific to G2")
     result = SolutionSet(group=spec.type_label, normalization=normalization)
     data = _root_data(spec)
+    limits = replace(CASE_BUDGET, **(budget or {}))
     for branch in branches:
-        record, solutions = _solve_branch(spec, data, branch, replace(branch.budget, **(budget or {})))
+        record, solutions = _solve_branch(spec, data, branch, limits)
         result.cases.append(record)
         result.solutions.extend(solutions)
     return result

@@ -45,6 +45,20 @@ def all_roots(spec):
     return pos + tuple(-r for r in pos)
 
 
+def s_polynomial(f, g, order):
+    """lc(g) (tau / lm(f)) f - lc(f) (tau / lm(g)) g for tau the lcm of the
+    leading monomials: the S-polynomial from MultiPoly arithmetic and
+    ``TermOrder.leading`` alone, so it certifies the kernel's pair loop
+    without sharing its code."""
+    (ef, cf), (eg, cg) = order.leading(f), order.leading(g)
+    tau = tuple(map(max, ef, eg))
+
+    def times(exp, c):
+        return MultiPoly(f.vars, {tuple(t - e for t, e in zip(tau, exp)): c})
+
+    return times(ef, cg) * f - times(eg, cf) * g
+
+
 def at_x6_equal_one(p):
     """p(x2, x3, 1) over the variables (x3, x2), for p over (x2, x3, x6)."""
     terms = {}

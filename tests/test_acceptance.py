@@ -22,7 +22,6 @@ from flagein.polyalg.groebner import (
     GroebnerBudget,
     buchberger,
     reduce_poly,
-    s_polynomial,
     saturate,
 )
 from flagein.polyalg.poly import (
@@ -31,10 +30,7 @@ from flagein.polyalg.poly import (
     TermOrder,
     parse_polynomial_file,
 )
-from flagein.polyalg.realroots import (
-    square_free_part,
-    sturm_isolate,
-)
+from flagein.polyalg.realroots import sturm_isolate
 from flagein.rootsys import (
     killing_form,
     positive_roots,
@@ -48,7 +44,7 @@ from flagein.solver import (
     solve_general_case,
 )
 
-from conftest import all_roots, at_x6_equal_one
+from conftest import all_roots, at_x6_equal_one, s_polynomial
 
 GROUPS = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
 
@@ -352,11 +348,10 @@ def test_criterion_09f_sturm_certificates():
         for a, b in zip(intervals, intervals[1:]):
             assert a.hi <= b.lo
         assert len(intervals) == sympy.Poly([int(c) for c in reversed(coeffs)], x).count_roots()
-        sf = square_free_part(coeffs)
         for iv in intervals:
             if not iv.is_exact:
-                lo = sum(c * iv.lo**n for n, c in enumerate(sf))
-                hi = sum(c * iv.hi**n for n, c in enumerate(sf))
+                lo = sum(c * iv.lo**n for n, c in enumerate(iv.poly))
+                hi = sum(c * iv.hi**n for n, c in enumerate(iv.poly))
                 assert lo * hi < 0
         cases += 1
     _report(9, cases >= 200, f"Descartes disjointness + count against sympy: {cases} cases (part f)")

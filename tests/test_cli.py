@@ -162,8 +162,19 @@ def test_budget_environment_variables_are_ignored(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+def test_einstein_symmetric_needs_no_larger_budget(capsys):
+    """The ansatz report under the case-analysis budget is the one it gets
+    under 100k pairs / 1M bits."""
+    code, out, _ = run(capsys, "einstein", "G2", "--mode", "symmetric", "--format", "json")
+    assert code == EXIT_OK
+    wide = ("--budget-pairs", "100000", "--budget-bits", "1000000")
+    code, wide_out, _ = run(capsys, "einstein", "G2", "--mode", "symmetric", *wide, "--format", "json")
+    assert (code, wide_out) == (EXIT_OK, out)
+
+
 def test_einstein_general_uses_the_branch_budget(capsys):
-    """Without budget flags the general branch runs under its own 250 / 2500."""
+    """Without budget flags the general branch runs under the case-analysis
+    budget, 250 pairs / 2500 bits."""
     code, out, _ = run(capsys, "einstein", "G2", "--mode", "general", "--format", "json")
     assert code == EXIT_BUDGET
     notes = json.loads(out)["cases"][0]["notes"]

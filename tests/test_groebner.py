@@ -19,7 +19,6 @@ from flagein.polyalg.groebner import (
     _poly_to,
     buchberger,
     reduce_poly,
-    s_polynomial,
     saturate,
 )
 from flagein.polyalg.poly import (
@@ -29,6 +28,8 @@ from flagein.polyalg.poly import (
     parse_polynomial,
     parse_polynomial_file,
 )
+
+from conftest import s_polynomial
 
 VARS = ("x", "y")
 LEX = TermOrder("lex", VARS)
@@ -491,11 +492,13 @@ def test_fglm_bases_match_sympy(make, fglm_calls):
 
 
 def test_fglm_on_the_saturation_input_matches_sympy(ansatz_generators, fglm_calls):
-    # the Rabinowitsch lift that saturate builds for the x6 != 1 branch
+    # the Rabinowitsch lift that saturate builds for the x6 != 1 branch, its
+    # auxiliary variable _t spelled t
     names = ("t", "x2", "x3", "x6")
     lifted = [g.with_variables(names) for g in ansatz_generators]
     lifted.append(parse_polynomial("t*x2*x3*x6^2 - t*x2*x3*x6 - 1", names))
-    basis = buchberger(lifted, TermOrder("lex", names))
+    # 107 pairs; one reduction in the FGLM pass needs 2500 to 3000 bits
+    basis = buchberger(lifted, TermOrder("lex", names), GroebnerBudget(max_pairs=250, max_coeff_bits=10_000))
     assert basis.complete
     assert len(fglm_calls) == 1
     assert _stats_tuple(basis) == (107, 47, 4, 775)
@@ -630,7 +633,8 @@ def test_divisor_memo_bases_match_sympy(monkeypatch):
     rng = random.Random(1998)
     for _ in range(40):
         gens = [_four_terms(rng), _four_terms(rng)]
-        basis = buchberger(gens, order)
+        # these ideals take at most 34 pairs and 65 coefficient bits
+        basis = buchberger(gens, order, GroebnerBudget(max_pairs=100, max_coeff_bits=200))
         assert basis.complete
         _assert_basis_matches_sympy(gens, basis, "grevlex")
     assert found
@@ -657,7 +661,7 @@ def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts, red
             grown.append(self)
             super().append(p)
 
-    def record(polys, ring, max_bits=None):
+    def record(polys, ring, max_bits):
         inputs.append((list(polys), ring))
         return interreduce(polys, ring, max_bits)
 
@@ -675,7 +679,8 @@ def test_finished_grevlex_basis_interreduces_in_one_pass(monkeypatch, texts, red
         return reduce(*args)
 
     monkeypatch.setattr(groebner, "_reduce", counted)
-    assert [_poly_to(p, ring) for p in interreduce(finished, ring)] == basis.generators
+    finish = interreduce(finished, ring, GroebnerBudget().max_coeff_bits)
+    assert [_poly_to(p, ring) for p in finish] == basis.generators
     assert len(calls) == len(finished)
 
 

@@ -180,13 +180,6 @@ def test_no_module_level_containers_in_the_package():
     assert found == {}
 
 
-# rational-boundary entry points that no program path calls: tests certify
-# the integer kernels through them against independent references (the
-# Buchberger criterion, sympy, pinned square-free parts).  Each must stay
-# unreferenced in the package, or the guard below fails
-_TEST_ENTRY_POINTS = {"s_polynomial", "square_free_part"}
-
-
 def _referenced_names(tree: ast.AST) -> Counter:
     """How often each name is read as a Name, an Attribute or an import alias."""
     names = Counter()
@@ -248,16 +241,12 @@ def test_dead_definition_guard_flags_each_kind():
 
 def test_every_definition_is_reached_from_the_package():
     sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
-    unreferenced = {label: label.rsplit(":", 1)[1] for label in _unreferenced(sources)}
-    assert [label for label, name in unreferenced.items() if name not in _TEST_ENTRY_POINTS] == []
-    # an allow-listed name that a program path now reaches leaves the list
-    assert sorted(_TEST_ENTRY_POINTS - set(unreferenced.values())) == []
+    assert _unreferenced(sources) == []
 
 
 # messages that two functions raise on purpose, with the reason for each
 _SHARED_MESSAGES = {
     "empty generator list": "saturate reads generators[0] before buchberger can check the list",
-    "zero polynomial has no leading term": "s_polynomial, a test entry point, checks its inputs as TermOrder.leading does",
 }
 
 
@@ -285,6 +274,16 @@ def _shared_messages(sources: dict[str, str]) -> dict[str, list[str]]:
     for path, source in sources.items():
         visit(ast.parse(source), path, "")
     return {message: sorted(where) for message, where in raisers.items() if len(where) > 1}
+
+
+def _one_owner_violations(sources: dict[str, str], allowed) -> dict[str, list[str]]:
+    """Each shared message that *allowed* does not name, with its raisers,
+    and each message *allowed* names that no two functions share, with none:
+    a stale entry fails the guard as an unlisted one does."""
+    shared = _shared_messages(sources)
+    found = {message: where for message, where in shared.items() if message not in allowed}
+    found.update({message: [] for message in allowed if message not in shared})
+    return found
 
 
 def test_one_owner_guard_flags_a_message_raised_from_two_functions():
@@ -318,10 +317,13 @@ def test_one_owner_guard_flags_a_message_raised_from_two_functions():
             "    raise _Stop('pairs')\n"
         ),
     }
-    assert _shared_messages(sources) == {"n must be >= 0": ["a.py:Box.put", "a.py:check", "b.py:other"]}
+    shared = {"n must be >= 0": ["a.py:Box.put", "a.py:check", "b.py:other"]}
+    assert _shared_messages(sources) == shared
+    assert _one_owner_violations(sources, {}) == shared
+    # 'once' is raised from one function only, so an entry for it is stale
+    assert _one_owner_violations(sources, {"n must be >= 0": "shared", "once": "stale"}) == {"once": []}
 
 
 def test_each_message_is_raised_from_one_function():
     sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
-    found = {message: where for message, where in _shared_messages(sources).items() if message not in _SHARED_MESSAGES}
-    assert found == {}
+    assert _one_owner_violations(sources, _SHARED_MESSAGES) == {}

