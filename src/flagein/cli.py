@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -46,13 +45,12 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _budget_overrides(args) -> dict[str, int]:
-    """GroebnerBudget fields set by --budget-pairs and --budget-bits."""
+def _budget_overrides(args) -> GroebnerBudget:
+    """The budget --budget-pairs and --budget-bits set; their defaults are the subcommand's budget."""
     for flag, value in (("--budget-pairs", args.budget_pairs), ("--budget-bits", args.budget_bits)):
-        if value is not None and value < 1:
+        if value < 1:
             raise ConfigurationError(f"{flag} must be >= 1")
-    limits = {"max_pairs": args.budget_pairs, "max_coeff_bits": args.budget_bits}
-    return {name: value for name, value in limits.items() if value is not None}
+    return GroebnerBudget(args.budget_pairs, args.budget_bits)
 
 
 def _table_number(v) -> str:
@@ -180,7 +178,6 @@ def cmd_kaehler(args, out) -> int:
 
 def cmd_einstein(args, out) -> int:
     check_oracle_run(args.starts, args.seed, args.precision)
-    # a given budget flag overrides that field of the case-analysis budget
     budget = _budget_overrides(args)
     spec = root_system(args.group)
     # check the report path before the run, so one that cannot be written fails
@@ -268,7 +265,7 @@ def cmd_groebner(args, out) -> int:
     if not polys:
         raise ConfigurationError("empty polynomial file")
     order = TermOrder(args.order, polys[0].vars)
-    basis = buchberger(polys, order, replace(GroebnerBudget(), **_budget_overrides(args)))
+    basis = buchberger(polys, order, _budget_overrides(args))
     isolation = None
     if basis.complete and args.isolate:
         target = next((g for g in basis.generators if g.support_vars() == (args.isolate,)), None)
@@ -316,6 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
 
+    def add_budget(p, budget: GroebnerBudget):
+        text = "Groebner {} limit (default: %(default)s)"
+        p.add_argument("--budget-pairs", type=int, default=budget.max_pairs, help=text.format("pair"))
+        p.add_argument("--budget-bits", type=int, default=budget.max_coeff_bits, help=text.format("coefficient-bit"))
+
     p = sub.add_parser("roots", help="positive roots, lengths, Killing gram matrix")
     p.add_argument("group")
     add_format(p)
@@ -350,10 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Newton row is rejected as soon as a coordinate is <= it; the exact branches always refine "
         "roots to 1e-40",
     )
-    p.add_argument("--budget-pairs", type=int, help=f"Groebner pair limit (default: {CASE_BUDGET.max_pairs})")
-    p.add_argument(
-        "--budget-bits", type=int, help=f"Groebner coefficient-bit limit (default: {CASE_BUDGET.max_coeff_bits})"
-    )
+    add_budget(p, CASE_BUDGET)
     p.add_argument("--output", help="also write the JSON report to this path")
     add_format(p)
     p.set_defaults(func=cmd_einstein)
@@ -363,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("lex", "grevlex"), default="lex")
     p.add_argument("--vars", help="comma-separated variable priority (highest first)")
     p.add_argument("--isolate", help="isolate positive real roots of the univariate generator")
-    p.add_argument("--budget-pairs", type=int, help=f"Groebner pair limit (default: {GroebnerBudget.max_pairs})")
-    p.add_argument(
-        "--budget-bits", type=int, help=f"Groebner coefficient-bit limit (default: {GroebnerBudget.max_coeff_bits})"
-    )
+    add_budget(p, GroebnerBudget())
     add_format(p)
     p.set_defaults(func=cmd_groebner)
 

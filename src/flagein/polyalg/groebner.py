@@ -30,12 +30,12 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): each monomial is packed into one int whose integer order is the term
 order, coefficients are ints, and reduction is fraction-free.  A reduction
 holds its coefficients in one list indexed through a monomial -> slot dict,
-so rescaling the whole polynomial is one list pass, and divides out their
-content whenever the scale's bit length has doubled (at least every 64
-bits).  A pair loop or an FGLM conversion only ever appends to its reducers,
-so it remembers, per monomial, how far the search for a dividing leading
-term got and resumes there.  The public functions take and return
-MultiPoly; they convert once on entry and once on exit.
+so rescaling the whole polynomial is one list pass, and leaves their common
+content in place: each caller divides it out of the remainder it keeps.  A
+pair loop or an FGLM conversion only ever appends to its reducers, so it
+remembers, per monomial, how far the search for a dividing leading term got
+and resumes there.  The public functions take and return MultiPoly; they
+convert once on entry and once on exit.
 
 A budget (pair count, coefficient bit size) turns runaway computations into a
 recoverable 'budget_exceeded' status instead of a hang.
@@ -66,6 +66,8 @@ class GroebnerStats:
     pairs_processed: int = 0
     pairs_discarded: int = 0
     basis_size: int = 0
+    # the largest generator coefficient, or after a 'coeff_bits' overrun
+    # inside a reduction the longer reduction factor that tripped it
     max_coeff_bits: int = 0
     budget_limit: str | None = None  # "pairs" or "coeff_bits" once a budget trips
 
@@ -88,9 +90,11 @@ class GroebnerBasis:
 
 
 class _BudgetExceeded(Exception):
-    def __init__(self, limit: str):
+    # bits: the reduction factor's bit length when _reduce's check tripped
+    def __init__(self, limit: str, bits: int = 0):
         super().__init__(limit)
         self.limit = limit
+        self.bits = bits
 
 
 # smallest field width; a field holds a total degree (grevlex) or an exponent
@@ -298,10 +302,6 @@ class _Reducers:
         self.leads.append(p.lead)
 
 
-# least scale growth, in bits, between two content removals in _reduce
-_CONTENT_STEP_BITS = 64
-
-
 def _reduce(
     work: dict[int, int],
     scale: int,
@@ -319,9 +319,9 @@ def _reduce(
     The coefficients of W and of the remainder found so far share one list,
     indexed through a monomial -> slot dict, so a rescale by l/g is one pass
     over that list; a monomial whose coefficient cancels keeps its slot.  The
-    common content of the list and the scale is divided out each time the
-    scale's bit length has doubled since the last removal (by at least
-    _CONTENT_STEP_BITS).
+    remainder and the scale may share a content; each caller normalizes what
+    it keeps (to a primitive generator, a primitive FGLM row, or the
+    fraction remainder / scale).
 
     With *max_bits* set, a reduction factor a / (scale l) whose reduced
     numerator or denominator is longer than that aborts the reduction via
@@ -337,8 +337,6 @@ def _reduce(
     heap = [-m for m in work]
     heapq.heapify(heap)
     remainder: list[tuple[int, int]] = []  # (monomial, slot), largest first
-    bits = scale.bit_length()
-    content_at = bits + max(bits, _CONTENT_STEP_BITS)
     while heap:
         m = -heapq.heappop(heap)
         i = slot[m]
@@ -365,8 +363,9 @@ def _reduce(
             a.bit_length() > max_bits or (scale * lg).bit_length() > max_bits
         ):
             h = gcd(a, scale)  # a / (scale lg) in lowest terms
-            if (a // h).bit_length() > max_bits or (scale * lg // h).bit_length() > max_bits:
-                raise _BudgetExceeded("coeff_bits")
+            bits = max((a // h).bit_length(), (scale * lg // h).bit_length())
+            if bits > max_bits:
+                raise _BudgetExceeded("coeff_bits", bits)
         if lg != 1:
             scale *= lg
             coeffs = [v * lg for v in coeffs]
@@ -379,13 +378,6 @@ def _reduce(
                 heapq.heappush(heap, -target)
             else:
                 coeffs[j] -= a * c
-        if scale.bit_length() > content_at:
-            h = gcd(scale, *coeffs)
-            if h > 1:
-                scale //= h
-                coeffs = [v // h for v in coeffs]
-            bits = scale.bit_length()
-            content_at = bits + max(bits, _CONTENT_STEP_BITS)
     return {m: coeffs[i] for m, i in remainder}, scale
 
 
@@ -663,6 +655,7 @@ def buchberger(
                 final = _buchberger_loop([_repack(p, first, ring) for p in final], ring, budget, stats)
     except _BudgetExceeded as exc:
         stats.budget_limit = exc.limit
+        stats.max_coeff_bits = max(stats.max_coeff_bits, exc.bits)
         return GroebnerBasis([], order, stats)
     stats.basis_size = len(final)
     return GroebnerBasis([_poly_to(p, ring) for p in final], order, stats)

@@ -208,15 +208,6 @@ def killing_form(spec: RootSystemSpec) -> KillingForm:
     return KillingForm(gram=gram)
 
 
-def weyl_reflect(value: Root, mirror: Root, form: KillingForm) -> Root:
-    """Reflect a root in the hyperplane orthogonal to *mirror*."""
-    factor = 2 * form.pair_roots(value, mirror) / form.length_sq(mirror)
-    if factor.denominator != 1:
-        raise DomainError("mirror is not a root of the same system")
-    k = int(factor)
-    return Root(tuple(c - k * m for c, m in zip(value.coeffs, mirror.coeffs)))
-
-
 def weyl_orbit_permutations(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
     """The group of positive-root index permutations induced by the Weyl group.
 
@@ -226,11 +217,13 @@ def weyl_orbit_permutations(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]
     sigma[i] = index of the folded image of the i-th positive root.
     """
     pos = positive_roots(spec)
-    form = killing_form(spec)
     # a root and its negative fold to the index of the positive one
     index = {c: k for k, r in enumerate(pos) for c in (r.coeffs, (-r).coeffs)}
-    # the simple roots lead the height order
-    generators = [tuple(index[weyl_reflect(r, s, form).coeffs] for r in pos) for s in pos[: spec.rank]]
+    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i changes coordinate i only
+    generators = [
+        tuple(index[r.coeffs[:i] + (r.coeffs[i] - _cartan_pairing(spec, r, i),) + r.coeffs[i + 1:]] for r in pos)
+        for i in range(spec.rank)
+    ]
     identity = tuple(range(len(pos)))
     group = {identity}
     frontier = [identity]

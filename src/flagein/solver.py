@@ -367,22 +367,20 @@ def solve_branches(
     spec: RootSystemSpec,
     normalization: str,
     branches: tuple[Branch, ...],
-    budget: dict[str, int] | None = None,
+    budget: GroebnerBudget = CASE_BUDGET,
 ) -> SolutionSet:
-    """Run each branch of a G2 case analysis and collect its case log.
+    """Run each branch of a G2 case analysis under *budget* and collect its
+    case log.
 
-    Every branch runs under ``CASE_BUDGET``, whose fields a *budget* dict of
-    ``GroebnerBudget`` fields overrides.  A branch that runs out of budget is
-    logged with the limit it hit and makes the status 'budget_exceeded'; the
-    other branches still run.
+    A branch that runs out of budget is logged with the limit it hit and
+    makes the status 'budget_exceeded'; the other branches still run.
     """
     if spec.type_label != "G2":
         raise ConfigurationError("the case analysis tables are specific to G2")
     result = SolutionSet(group=spec.type_label, normalization=normalization)
     data = _root_data(spec)
-    limits = replace(CASE_BUDGET, **(budget or {}))
     for branch in branches:
-        record, solutions = _solve_branch(spec, data, branch, limits)
+        record, solutions = _solve_branch(spec, data, branch, budget)
         result.cases.append(record)
         result.solutions.extend(solutions)
     return result
@@ -475,7 +473,7 @@ def _solve_branch(
 
 def solve_symmetric_ansatz(
     spec: RootSystemSpec,
-    budget: dict[str, int] | None = None,
+    budget: GroebnerBudget = CASE_BUDGET,
 ) -> SolutionSet:
     """The x1 = x5 = 1, x4 = x3 branch of the G2 case analysis.
 
@@ -494,7 +492,7 @@ def solve_symmetric_ansatz(
 
 def solve_general_case(
     spec: RootSystemSpec,
-    budget: dict[str, int] | None = None,
+    budget: GroebnerBudget = CASE_BUDGET,
 ) -> SolutionSet:
     """The x1 = 1 branch with x1, x5, x6 pairwise distinct.
 
@@ -523,8 +521,8 @@ def check_oracle_run(starts: int, seed: int, tol: float) -> None:
 
 def newton_oracle(
     spec: RootSystemSpec,
-    starts: int = 100_000,
-    seed: int = 0,
+    starts: int,
+    seed: int,
     tol: float = 1e-10,
 ) -> SolutionSet:
     """Damped Newton on the group's cleared system in the x1 = 1 chart, square
@@ -701,10 +699,10 @@ def newton_oracle(
 
 def classify_full(
     spec: RootSystemSpec,
-    starts: int = 100_000,
-    seed: int = 0,
+    starts: int,
+    seed: int,
     tol: float = 1e-10,
-    budget: dict[str, int] | None = None,
+    budget: GroebnerBudget = CASE_BUDGET,
 ) -> SolutionSet:
     """Combine the exact case analysis with the numeric oracle and classify.
 

@@ -172,6 +172,16 @@ def test_einstein_symmetric_needs_no_larger_budget(capsys):
     assert (code, wide_out) == (EXIT_OK, out)
 
 
+def test_einstein_bit_overrun_reports_the_bits_that_tripped(capsys):
+    """The x4 = x3 certificate completes at 800 bits; at 600 a reduction
+    factor of 625 bits trips the check, and the case note reports those bits,
+    more than the limit, not the 266 bits of its largest generator so far."""
+    code, out, _ = run(capsys, "einstein", "G2", "--mode", "symmetric", "--budget-bits", "600", "--format", "json")
+    assert code == EXIT_BUDGET
+    notes = json.loads(out)["cases"][2]["notes"]
+    assert notes.startswith("exact elimination exceeded its coeff_bits budget after 42 pairs (37 discarded, 625 ")
+
+
 def test_einstein_general_uses_the_branch_budget(capsys):
     """Without budget flags the general branch runs under the case-analysis
     budget, 250 pairs / 2500 bits."""

@@ -155,6 +155,7 @@ def test_budget_names_the_limit():
     tight = buchberger(gens, LEX, GroebnerBudget(max_coeff_bits=1))
     assert tight.status == "budget_exceeded"
     assert tight.stats.budget_limit == "coeff_bits"
+    assert tight.stats.max_coeff_bits > 1
 
 
 def _interreduction_ideal():
@@ -194,6 +195,7 @@ def test_bit_budget_bounds_the_lex_pass():
     assert time.perf_counter() - started < 10.0
     assert result.status == "budget_exceeded"
     assert result.stats.budget_limit == "coeff_bits"
+    assert result.stats.max_coeff_bits > 20
 
 
 _FGLM_BITS_IDEAL = (
@@ -206,8 +208,9 @@ _FGLM_BITS_IDEAL = (
 @pytest.mark.parametrize(
     "max_coeff_bits, status, stat",
     [
-        # a normal form inside FGLM trips the limit before any generator
-        (24, "budget_exceeded", 12),
+        # a normal form inside FGLM trips the limit before any generator, on
+        # a 25-bit reduction factor
+        (24, "budget_exceeded", 25),
         # the last generator FGLM emits has 100-bit coefficients
         (99, "budget_exceeded", 100),
         (100, "complete", 100),
@@ -219,6 +222,8 @@ def test_bit_budget_bounds_the_fglm_pass(max_coeff_bits, status, stat, fglm_call
     basis = buchberger(gens, TermOrder("lex", XYZ), GroebnerBudget(max_coeff_bits=max_coeff_bits))
     assert (basis.status, basis.stats.max_coeff_bits, len(fglm_calls)) == (status, stat, 1)
     assert basis.stats.pairs_processed == 2
+    # an overrun reports the bits that tripped it, more than its limit
+    assert basis.complete or basis.stats.max_coeff_bits > max_coeff_bits
 
 
 def test_pair_budget_bounds_the_lex_pass(ansatz_generators):
@@ -353,9 +358,9 @@ def test_ansatz_elimination_stats(ansatz_generators, fglm_calls):
         (40, 2500, GroebnerStats(40, 7, 0, 93, budget_limit="pairs")),
         (60, 2500, GroebnerStats(60, 7, 0, 117, budget_limit="pairs")),
         (80, 2500, GroebnerStats(80, 7, 0, 191, budget_limit="pairs")),
-        # 379 bits < 500: no basis element reached the limit, so the check
-        # inside a reduction tripped, not the one between pairs
-        (250, 500, GroebnerStats(89, 7, 0, 379, budget_limit="coeff_bits")),
+        # the check inside a reduction tripped on a 502-bit reduction
+        # factor, before any basis element reached 500 bits
+        (250, 500, GroebnerStats(89, 7, 0, 502, budget_limit="coeff_bits")),
     ],
     ids=["pairs40", "pairs60", "pairs80", "bits500"],
 )
@@ -371,6 +376,8 @@ def test_general_system_budget_stats(max_pairs, max_coeff_bits, pinned):
     result = saturate(gens, constraints, GroebnerBudget(max_pairs, max_coeff_bits))
     assert result.status == "budget_exceeded"
     assert result.stats == pinned
+    if result.stats.budget_limit == "coeff_bits":
+        assert result.stats.max_coeff_bits > max_coeff_bits
 
 
 def test_ansatz_elimination_degree_14(ansatz_elimination):
@@ -576,7 +583,8 @@ def _divide(f, divisors, order):
 
 def _xyz_polys(max_degree, max_size):
     # non-monic, with numerators and denominators large enough that the
-    # fraction-free scale grows past the content-removal threshold
+    # fraction-free scale and the remainder's unremoved content grow over
+    # many reduction steps
     coefficient = st.fractions(min_value=-1000, max_value=1000, max_denominator=60).filter(bool)
     exponent = st.tuples(*(st.integers(0, max_degree) for _ in XYZ))
     return st.dictionaries(exponent, coefficient, min_size=1, max_size=max_size).map(

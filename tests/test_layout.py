@@ -1,8 +1,8 @@
 """Source guards: no module-level memo caches or containers, no numpy in the
 polynomial layer and no numpy.random in the oracle, package __init__ files
 that import nothing (the ``flagein`` command is the one entry point), no
-function, class or method that nothing in the package refers to, and no
-error message raised from two functions."""
+function, class, method or module-level constant that nothing in the package
+refers to, and no error message raised from two functions."""
 
 import ast
 import os
@@ -194,9 +194,9 @@ def _referenced_names(tree: ast.AST) -> Counter:
 
 
 def _unreferenced(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes, and non-dunder methods of
-    module-level classes, whose name appears nowhere in *sources* outside
-    their own definition.
+    """Module-level functions, classes and constants, and non-dunder methods
+    of module-level classes, whose name appears nowhere in *sources* outside
+    their own definition (for a constant, the statement that assigns it).
 
     The match is by name alone, so a definition escapes when any other name
     in the package is spelled the same: a method ``value`` or ``width`` is
@@ -207,17 +207,23 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
     found = []
     for path, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                members = [(name, name, node) for name in names if not name.startswith("__")]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                members = [(node.name, node.name, node)]
+                if isinstance(node, ast.ClassDef):
+                    members += [
+                        (f"{node.name}.{item.name}", item.name, item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                    ]
+            else:
                 continue
-            members = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                members += [
-                    (f"{node.name}.{item.name}", item)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
-                ]
-            for label, definition in members:
-                if total[definition.name] == _referenced_names(definition)[definition.name]:
+            for label, name, definition in members:
+                if total[name] == _referenced_names(definition)[name]:
                     found.append(f"{path}:{label}")
     return found
 
@@ -231,12 +237,14 @@ def test_dead_definition_guard_flags_each_kind():
             "    def __len__(self): return 0\n"
             "    def kept(self): return 1\n"
             "    def spare(self): return self.spare()\n"
-            "print(Box().kept(), used)\n"
+            "print(Box().kept(), used, LIMIT)\n"
+            "LIMIT: int = 3\n"
+            "_CONTENT_STEP_BITS = 64\n"
         ),
         # the variable ``value`` hides the unused function of that name
-        "b.py": "def used(): pass\nclass Unused: pass\nvalue = 1\ndef value(): pass\n",
+        "b.py": "def used():\n    value = 1\n    return value\nclass Unused: pass\ndef value(): pass\n",
     }
-    assert _unreferenced(sources) == ["a.py:dead", "a.py:Box.spare", "b.py:Unused"]
+    assert _unreferenced(sources) == ["a.py:dead", "a.py:Box.spare", "a.py:_CONTENT_STEP_BITS", "b.py:Unused"]
 
 
 def test_every_definition_is_reached_from_the_package():

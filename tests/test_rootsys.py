@@ -12,7 +12,6 @@ from flagein.rootsys import (
     positive_roots,
     root_system,
     weyl_orbit_permutations,
-    weyl_reflect,
 )
 
 from conftest import SMALL_GROUPS, all_roots
@@ -103,13 +102,49 @@ def _det(m):
     return total
 
 
+def _reflect(value, mirror, form):
+    """value - 2 (value, mirror) / (mirror, mirror) mirror, from the Killing form."""
+    factor = 2 * form.pair_roots(value, mirror) / form.length_sq(mirror)
+    assert factor.denominator == 1
+    return Root(tuple(c - int(factor) * m for c, m in zip(value.coeffs, mirror.coeffs)))
+
+
+def _folded_reflection(spec, mirror, form):
+    """The reflection in *mirror* as a permutation of the positive roots."""
+    pos = positive_roots(spec)
+    index = {c: k for k, r in enumerate(pos) for c in (r.coeffs, (-r).coeffs)}
+    return tuple(index[_reflect(r, mirror, form).coeffs] for r in pos)
+
+
 def test_g2_simple_reflections():
     g2 = root_system("G2")
     form = killing_form(g2)
     a1, a2 = positive_roots(g2)[:2]
-    assert weyl_reflect(a1, a2, form).coeffs == (1, 3)
-    assert weyl_reflect(a1, a1, form).coeffs == (-1, 0)
-    assert weyl_reflect(a2, a2, form).coeffs == (0, -1)
+    assert _reflect(a1, a2, form).coeffs == (1, 3)
+    assert _reflect(a1, a1, form).coeffs == (-1, 0)
+    assert _reflect(a2, a2, form).coeffs == (0, -1)
+    perms = set(weyl_orbit_permutations(g2))
+    # s1 swaps a2 with a1 + a2 and a1 + 3 a2 with 2 a1 + 3 a2; s2 swaps
+    # a1 with a1 + 3 a2 and a1 + a2 with a1 + 2 a2
+    assert _folded_reflection(g2, a1, form) == (0, 2, 1, 3, 5, 4)
+    assert _folded_reflection(g2, a2, form) == (4, 1, 3, 2, 0, 5)
+    assert {_folded_reflection(g2, a, form) for a in (a1, a2)} <= perms
+
+
+@pytest.mark.parametrize("label", SMALL_GROUPS)
+def test_orbit_permutations_are_generated_by_simple_reflections(label):
+    """The group is the closure of the reference reflections in the simple
+    roots, folded to the positive roots."""
+    spec = root_system(label)
+    form = killing_form(spec)
+    generators = [_folded_reflection(spec, a, form) for a in positive_roots(spec)[: spec.rank]]
+    group = {tuple(range(len(generators[0])))}
+    frontier = list(group)
+    while frontier:
+        new = {tuple(gen[i] for i in sigma) for sigma in frontier for gen in generators} - group
+        group |= new
+        frontier = list(new)
+    assert set(weyl_orbit_permutations(spec)) == group
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,9 +155,14 @@ def test_reflection_involution_and_isometry(label, data):
     roots = all_roots(spec)
     v = data.draw(st.sampled_from(roots))
     mirror = data.draw(st.sampled_from(roots))
-    image = weyl_reflect(v, mirror, form)
-    assert weyl_reflect(image, mirror, form) == v
+    image = _reflect(v, mirror, form)
+    assert _reflect(image, mirror, form) == v
     assert form.length_sq(image) == form.length_sq(v)
+    # each reflection in a root is a Weyl element, so its folded image is
+    # one of the group's permutations, an involution that keeps lengths
+    sigma = _folded_reflection(spec, mirror, form)
+    assert sigma in weyl_orbit_permutations(spec)
+    assert tuple(sigma[i] for i in sigma) == tuple(range(len(sigma)))
 
 
 def test_zero_root_rejected():

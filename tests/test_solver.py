@@ -309,7 +309,7 @@ def test_x4_x3_certificate_rejects_non_unit_ideal(g2, monkeypatch):
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
     with pytest.raises(DomainError, match="does not give the unit ideal"):
-        solve_symmetric_ansatz(g2, {"max_pairs": 99_999})
+        solve_symmetric_ansatz(g2, GroebnerBudget(99_999, 2500))
 
 
 def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
@@ -345,12 +345,12 @@ def test_x4_x3_overrun_makes_status_budget_exceeded(g2, monkeypatch):
     "budget, expected",
     [
         (None, GroebnerBudget(250, 2500)),
-        ({"max_pairs": 60}, GroebnerBudget(60, 2500)),
+        (GroebnerBudget(60, 2500), GroebnerBudget(60, 2500)),
     ],
 )
 def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
-    """Every row of both tables runs under the one case-analysis budget, and
-    a dict overrides only its fields."""
+    """Every row of both tables runs under the one case-analysis budget when
+    none is given (None), and under a given budget as it stands."""
     from flagein import solver
     from flagein.polyalg.groebner import GroebnerBasis, GroebnerStats
 
@@ -361,8 +361,9 @@ def test_budget_overrides_the_branch_default(g2, monkeypatch, budget, expected):
         return GroebnerBasis([], TermOrder("lex", generators[0].vars), GroebnerStats(budget_limit="pairs"))
 
     monkeypatch.setattr(solver, "saturate", fake_saturate)
-    assert solve_symmetric_ansatz(g2, budget).status == "budget_exceeded"
-    assert solve_general_case(g2, budget).status == "budget_exceeded"
+    given = () if budget is None else (budget,)
+    assert solve_symmetric_ansatz(g2, *given).status == "budget_exceeded"
+    assert solve_general_case(g2, *given).status == "budget_exceeded"
     assert seen == [expected] * (len(G2_SYMMETRIC_ANSATZ) + len(G2_GENERAL_CASE))
 
 
@@ -548,7 +549,7 @@ def test_back_substitution_refuses_an_enclosure_that_contains_zero(g2, monkeypat
 
 
 def test_general_case_budget_status(g2):
-    result = solve_general_case(g2, {"max_pairs": 60})
+    result = solve_general_case(g2, GroebnerBudget(60, 2500))
     assert result.status == "budget_exceeded"
     assert result.solutions == []
     assert result.cases[0].status == "budget_exceeded"
